@@ -3,8 +3,8 @@
 Every benchmark regenerates one of the paper's tables or figures at the
 ``bench`` scale (a reduced budget sized so the full suite completes on a
 laptop CPU in minutes).  Pass ``--benchmark-only`` to pytest to run them; the
-same harness functions accept the ``small`` / ``full`` presets for the
-higher-fidelity runs recorded in EXPERIMENTS.md.
+same harness functions accept the ``small`` / ``full`` presets for
+higher-fidelity runs.
 """
 
 from __future__ import annotations

@@ -53,6 +53,7 @@ class RunReport:
     spec: RunSpec
     strategy: str
     result: FaHaNaResult
+    # Child trainings paid for (gate rejections and cache hits excluded).
     evaluations_run: int
     cache_hits: int
     cache_hit_rate: Optional[float]

@@ -35,8 +35,6 @@ from repro.core.reward import INVALID_REWARD, RewardConfig, compute_reward
 from repro.data.dataset import GroupedDataset
 from repro.fairness.report import FairnessReport, evaluate_fairness
 from repro.hardware.latency import LatencyEstimator
-from repro.nn.layers.norm import BatchNorm2d
-from repro.nn.module import Module
 from repro.nn.trainer import Trainer, TrainingConfig
 from repro.utils.fingerprint import content_fingerprint
 from repro.utils.rng import new_rng
@@ -228,33 +226,6 @@ class MemoryGate:
         )
 
 
-# -- weight snapshots (promotion re-trains from the child's initial weights) --------
-def snapshot_weights(model: Module) -> Dict[str, np.ndarray]:
-    """Copy every parameter and batch-norm running statistic of ``model``.
-
-    Proxy training mutates the child model in place; a promoted child must
-    re-train its *full* stage from the same initial weights the sequential
-    loop would have used, so the engine snapshots them before the first stage
-    runs.
-    """
-    state = {name: data.copy() for name, data in model.state_dict().items()}
-    for index, module in enumerate(m for m in model.modules() if isinstance(m, BatchNorm2d)):
-        state[f"__bn_mean__{index}"] = module.running_mean.copy()
-        state[f"__bn_var__{index}"] = module.running_var.copy()
-    return state
-
-
-def restore_weights(model: Module, snapshot: Dict[str, np.ndarray]) -> None:
-    """Restore a :func:`snapshot_weights` capture into ``model`` (in place)."""
-    parameters = {
-        name: value for name, value in snapshot.items() if not name.startswith("__bn_")
-    }
-    model.load_state_dict(parameters)
-    for index, module in enumerate(m for m in model.modules() if isinstance(m, BatchNorm2d)):
-        module.running_mean = snapshot[f"__bn_mean__{index}"].copy()
-        module.running_var = snapshot[f"__bn_var__{index}"].copy()
-
-
 class EvaluationPipeline:
     """Prices, trains and scores child networks through configurable stages.
 
@@ -262,8 +233,10 @@ class EvaluationPipeline:
     evaluation's training configuration verbatim) and one deterministic data
     subset per reduced-data fidelity.  :meth:`evaluate` is the single-child
     path (gates, then the final full-fidelity stage) and reproduces the seed
-    evaluator exactly; the engine drives the staged path itself because
-    promotion is a wave-relative decision.
+    evaluator exactly.  The search engine drives the stages itself -- it
+    prices with :meth:`price` before building anything, and promotion is a
+    wave-relative decision -- and hands workers only built, priced children
+    for :meth:`train_and_score`.
     """
 
     def __init__(
@@ -375,21 +348,17 @@ class EvaluationPipeline:
         child: ChildArchitecture,
         fidelity: Optional[FidelityConfig] = None,
         pricing: Optional[PricingReport] = None,
-        restore_from: Optional[Dict[str, np.ndarray]] = None,
     ) -> "EvaluationResult":
         """Train one child at ``fidelity`` and score it (accuracy, unfairness, Eq. 1).
 
-        ``restore_from`` resets the child's weights first, so a promoted child
-        trains its next stage from the same initial weights a single-stage
-        evaluation would have used instead of fine-tuning the proxy result.
+        Training mutates ``child.model``; a child promoted to a later stage
+        is rebuilt from its seed, so every stage trains from the same initial
+        weights a single-stage evaluation would have used.
         """
         from repro.core.evaluator import EvaluationResult
 
         fidelity = fidelity or self.final_fidelity
         pricing = pricing or self.price(child.descriptor)
-        if restore_from is not None:
-            restore_weights(child.model, restore_from)
-
         trainer = self._trainers[fidelity.name]
         images, labels = self._training_data(fidelity)
         start = time.perf_counter()

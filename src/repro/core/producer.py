@@ -62,7 +62,6 @@ class ChildArchitecture:
 
     descriptor: ArchitectureDescriptor
     model: Sequential
-    decisions: List[BlockDecision]
     num_trainable_parameters: int
     num_frozen_parameters: int
 
@@ -221,17 +220,32 @@ class BackboneProducer:
             frozen_specs + searched_specs, name="FaHaNa-child"
         )
 
-    def produce(
-        self, decisions: Sequence[BlockDecision], rng: SeedLike = None
-    ) -> ChildArchitecture:
-        """Materialise the child network described by the controller decisions."""
-        descriptor = self.describe_child(decisions)
+    def child_seed(self, rng: SeedLike = None) -> int:
+        """Draw one child's weight-init seed (from ``rng``, else the producer's stream)."""
+        source = new_rng(rng) if rng is not None else self._rng
+        return int(source.integers(0, 2**31 - 1))
 
-        seed = (
-            int(new_rng(rng).integers(0, 2**31 - 1))
-            if rng is not None
-            else int(self._rng.integers(0, 2**31 - 1))
+    def produce(
+        self,
+        child: Union[ArchitectureDescriptor, Sequence[BlockDecision]],
+        rng: SeedLike = None,
+        seed: Optional[int] = None,
+    ) -> ChildArchitecture:
+        """Materialise a child network.
+
+        ``child`` is either the controller's decisions or the descriptor
+        :meth:`describe_child` already made of them.  ``seed`` is the
+        weight-init seed; without one, :meth:`child_seed` draws it from
+        ``rng``.
+        """
+        self._ensure_prepared()
+        descriptor = (
+            child
+            if isinstance(child, ArchitectureDescriptor)
+            else self.describe_child(child)
         )
+        if seed is None:
+            seed = self.child_seed(rng)
         model = descriptor.build(
             num_classes=self.num_classes,
             width_multiplier=self.config.width_multiplier,
@@ -244,7 +258,6 @@ class BackboneProducer:
         return ChildArchitecture(
             descriptor=descriptor,
             model=model,
-            decisions=list(decisions),
             num_trainable_parameters=model.num_parameters(trainable_only=True),
             num_frozen_parameters=num_frozen,
         )

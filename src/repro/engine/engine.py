@@ -2,8 +2,8 @@
 
 :class:`SearchEngine` drives a :class:`~repro.core.fahana.FaHaNaSearch`
 (or its MONAS subclass) through the same protocol as the original
-sequential loop -- sample, produce, evaluate, observe -- but adds the three
-scaling features the seed loop lacked:
+sequential loop -- sample, price, build, train, observe -- but adds the
+three scaling features the seed loop lacked:
 
 1. **Batched parallel evaluation.**  Episodes are sampled up front in waves
    of ``batch_episodes`` children and evaluated concurrently on a pluggable
@@ -17,9 +17,11 @@ scaling features the seed loop lacked:
 
 2. **Content-addressed memoization.**  With a cache configured, each sampled
    child is fingerprinted (descriptor ``cache_key()`` + evaluation context)
-   before any model is built; repeats return the memoized result without
-   training.  A cache-hit episode still consumes one child-RNG draw so the
-   stream stays aligned with an uncached run.
+   and looked up before it is priced or built; repeats return the memoized
+   result without training.  Every sampled child draws its weight-init seed
+   at sample time, so the child-RNG stream stays aligned with an uncached
+   run.  Gate rejections are never cached or published to a store tier;
+   repeating one costs only a pricing.
 
 3. **Checkpoint/resume.**  With a ``run_dir`` configured, the engine
    snapshots controller weights, optimiser/baseline state, both RNG streams,
@@ -43,11 +45,7 @@ import math
 from repro.core.controller import ControllerSample
 from repro.core.evaluator import ChildEvaluator, EvaluationResult
 from repro.core.fahana import FaHaNaResult, FaHaNaSearch
-from repro.core.pipeline import (
-    FidelityConfig,
-    PricingReport,
-    snapshot_weights,
-)
+from repro.core.pipeline import FidelityConfig, PricingReport
 from repro.core.producer import ChildArchitecture
 from repro.core.results import EpisodeRecord, SearchHistory
 from repro.engine import checkpoint as checkpoint_io
@@ -195,67 +193,49 @@ class _EpisodeJob:
     episode: int
     sample: ControllerSample
     descriptor: ArchitectureDescriptor
+    # Weight-init seed, drawn at sample time; every stage the child trains at
+    # builds a fresh model from it.
+    seed: int
+    # The child's full-fidelity cache key (None with caching off).
     cache_key: Optional[str] = None
-    child: Optional[ChildArchitecture] = None
+    pricing: Optional[PricingReport] = None
+    # The latest stage's result; the episode's outcome once the child stops.
     evaluation: Optional[EvaluationResult] = None
     cache_hit: bool = False
     worker: str = ""
     elapsed_seconds: float = 0.0
-    # Staged-pipeline state (multi-fidelity runs only).
-    pricing: Optional[PricingReport] = None
-    initial_weights: Optional[Dict[str, Any]] = None
-    stage_result: Optional[EvaluationResult] = None
-    stage_cached: bool = False
-    stage_worker: str = ""
     stages: List[str] = field(default_factory=list)
 
 
-def _evaluate_payload(
-    payload: Tuple[Optional[ChildEvaluator], ChildArchitecture],
-) -> Tuple[EvaluationResult, float, float]:
-    """Worker task: evaluate one child (module-level so it pickles).
+def _stage_key(key: str, fidelity: Optional[FidelityConfig]) -> str:
+    """A child's cache key at ``fidelity``, from its full-fidelity ``key``."""
+    if fidelity is None or fidelity.is_full:
+        return key
+    return combine_fingerprints(key, fidelity.fingerprint())
 
-    ``evaluator`` is None when the pool shipped it to the worker process once
-    at startup (``EngineConfig.share_evaluator``); it is then read back from
-    the worker's shared slot instead of travelling with every task.  Returns
-    ``(result, elapsed_seconds, wall_start)`` -- the wall-clock start lets
-    the engine record the training as a tracer span on the worker's own
-    timeline, which is what makes a trace show the wave's real parallelism.
+
+def _train_payload(
+    payload: Tuple[Optional[ChildEvaluator], ChildArchitecture, str, PricingReport],
+) -> Tuple[EvaluationResult, float, float]:
+    """Worker task: train and score one built child at one fidelity stage.
+
+    Module-level so it pickles.  ``evaluator`` is None when the pool shipped
+    it to the worker process once at startup (``EngineConfig.share_evaluator``);
+    it is then read back from the worker's shared slot instead of travelling
+    with every task.  The child arrives priced, so the worker never re-prices
+    it.  Returns ``(result, elapsed_seconds, wall_start)`` -- the wall-clock
+    start lets the engine record the training as a tracer span on the
+    worker's own timeline, which is what makes a trace show the wave's real
+    parallelism.
     """
-    evaluator, child = payload
-    if evaluator is None:
-        evaluator = workers_module.process_shared()
-    wall_start = time.time()  # repro-lint: disable=DET001 -- telemetry wall-clock timestamp surfaced in events; never enters results or cache keys
-    start = time.perf_counter()
-    result = evaluator.evaluate(child)
-    return result, time.perf_counter() - start, wall_start
-
-
-def _evaluate_stage_payload(
-    payload: Tuple[
-        Optional[ChildEvaluator],
-        ChildArchitecture,
-        str,
-        Optional[PricingReport],
-        Optional[Dict[str, Any]],
-    ],
-) -> Tuple[EvaluationResult, float, float]:
-    """Worker task: train one child at one fidelity stage (staged runs).
-
-    ``initial_weights`` is the snapshot taken before the child's first stage;
-    restoring it makes every stage train from the same initial weights
-    regardless of backend (in-process pools mutate the parent's model, the
-    process pool trains a pickled copy).  Returns
-    ``(result, elapsed_seconds, wall_start)`` like :func:`_evaluate_payload`."""
-    evaluator, child, fidelity_name, pricing, initial_weights = payload
+    evaluator, child, fidelity_name, pricing = payload
     if evaluator is None:
         evaluator = workers_module.process_shared()
     pipeline = evaluator.pipeline
-    fidelity = pipeline.fidelity(fidelity_name)
     wall_start = time.time()  # repro-lint: disable=DET001 -- telemetry wall-clock timestamp surfaced in events; never enters results or cache keys
     start = time.perf_counter()
     result = pipeline.train_and_score(
-        child, fidelity, pricing=pricing, restore_from=initial_weights
+        child, pipeline.fidelity(fidelity_name), pricing=pricing
     )
     return result, time.perf_counter() - start, wall_start
 
@@ -332,7 +312,7 @@ class SearchEngine:
         )
         self._m_evaluations = self.metrics.counter(
             "repro_engine_evaluations_total",
-            "Worker evaluations run, by fidelity",
+            "Child trainings run, by fidelity",
             labelnames=("fidelity",),
         )
 
@@ -471,10 +451,9 @@ class SearchEngine:
         stages keep the historical two-part key, so full results are shared
         between staged and single-stage runs of the same configuration.
         """
-        base = combine_fingerprints(descriptor.cache_key(), self.context_key)
-        if fidelity is None or fidelity.is_full:
-            return base
-        return combine_fingerprints(base, fidelity.fingerprint())
+        return _stage_key(
+            combine_fingerprints(descriptor.cache_key(), self.context_key), fidelity
+        )
 
     @property
     def cache_hits(self) -> int:
@@ -711,11 +690,8 @@ class SearchEngine:
                 ):
                     with self.tracer.span("sample", episode=self._next_episode):
                         jobs = self._sample_wave(wave)
-                    if staged:
-                        self._evaluate_wave_staged(jobs, pool)
-                    else:
-                        with self.tracer.span("evaluate", episode=self._next_episode):
-                            self._evaluate_wave(jobs, pool)
+                    with self.tracer.span("evaluate", episode=self._next_episode):
+                        self._evaluate_stages(jobs, pool)
                     with self.tracer.span("observe", episode=self._next_episode):
                         for job in jobs:
                             self._observe(job, history)
@@ -777,151 +753,53 @@ class SearchEngine:
 
     # -- wave phases --------------------------------------------------------------
     def _sample_wave(self, wave: int) -> List[_EpisodeJob]:
-        """Sample/produce ``wave`` children in strict episode order.
+        """Sample ``wave`` children in strict episode order, building none.
 
-        In staged (multi-fidelity) runs the per-child cache lookups happen at
-        each fidelity stage instead of here: an episode's final result then
-        depends on wave-relative promotion, so sample-time short-circuiting
-        would make cached and uncached runs diverge.
+        Each child is described from its decisions, draws its weight-init
+        seed from the child-RNG stream -- one draw per sampled child, whether
+        it is later built, served from the cache or gate-rejected, so the
+        stream stays aligned across cache states and backends -- and, with
+        caching on, is fingerprinted once.  Cache lookups, pricing and builds
+        happen per fidelity stage in :meth:`_evaluate_stages`.
         """
         search = self.search
         jobs: List[_EpisodeJob] = []
         for offset in range(wave):
-            episode = self._next_episode + offset
             sample = search.controller.sample(rng=search._sample_rng)
             descriptor = search.producer.describe_child(sample.decisions)
-            job = _EpisodeJob(episode=episode, sample=sample, descriptor=descriptor)
-            if self.cache is not None and not self.staged:
+            job = _EpisodeJob(
+                episode=self._next_episode + offset,
+                sample=sample,
+                descriptor=descriptor,
+                seed=search.producer.child_seed(search._child_rng),
+            )
+            if self.cache is not None:
                 job.cache_key = self.child_cache_key(descriptor)
-                cached = self.cache.get(job.cache_key)
-                if cached is not None:
-                    # Burn the draw produce() would have made so the child-RNG
-                    # stream stays aligned with a cache-off run.
-                    search._child_rng.integers(0, 2**31 - 1)
-                    job.evaluation = cached
-                    job.cache_hit = True
-                    job.worker = "cache"
-                    self._emit(
-                        CACHE_HIT,
-                        episode=episode,
-                        payload={"key": job.cache_key, "reward": cached.reward},
-                    )
-                    jobs.append(job)
-                    continue
-            job.child = search.producer.produce(sample.decisions, rng=search._child_rng)
             jobs.append(job)
         return jobs
 
-    def _evaluate_wave(self, jobs: List[_EpisodeJob], pool: WorkerPool) -> None:
-        """Evaluate the wave's cache misses concurrently, in episode order.
-
-        When caching is on, duplicate children *within* one wave train only
-        once: the first occurrence is evaluated and the repeats share its
-        result, exactly as they would have hit the cache with wave size 1.
-        (With caching off every child trains, matching the sequential loop.)
-        """
-        pending = [job for job in jobs if job.evaluation is None]
-        first_by_key: Dict[str, _EpisodeJob] = {}
-        unique: List[_EpisodeJob] = []
-        for job in pending:
-            if job.cache_key is not None and job.cache_key in first_by_key:
-                continue
-            if job.cache_key is not None:
-                first_by_key[job.cache_key] = job
-            unique.append(job)
-        if unique:
-            # Pools that shipped the evaluator at startup get child-only
-            # payloads; the worker reads the evaluator from its shared slot.
-            evaluator = None if pool.uses_shared else self.search.evaluator
-            payloads = [(evaluator, job.child) for job in unique]
-            results = pool.map_ordered(_evaluate_payload, payloads)
-            for job, ((evaluation, elapsed, started), worker) in zip(unique, results):
-                job.evaluation = evaluation
-                job.worker = worker
-                job.elapsed_seconds = elapsed
-                self.evaluations_run += 1
-                self._m_evaluations.labels(fidelity=evaluation.fidelity).inc()
-                self.tracer.record(
-                    "train",
-                    start=started,
-                    duration=elapsed,
-                    tid=worker,
-                    episode=job.episode,
-                )
-                if evaluation.trained:
-                    self.evaluations_by_fidelity[evaluation.fidelity] = (
-                        self.evaluations_by_fidelity.get(evaluation.fidelity, 0) + 1
-                    )
-                if self.cache is not None and job.cache_key is not None:
-                    self.cache.put(job.cache_key, evaluation)
-        for job in pending:
-            if job.evaluation is None:  # an intra-wave repeat
-                primary = first_by_key[job.cache_key]
-                job.evaluation = primary.evaluation
-                job.cache_hit = True
-                job.worker = "cache"
-                self._emit(
-                    CACHE_HIT,
-                    episode=job.episode,
-                    payload={"key": job.cache_key, "reward": job.evaluation.reward},
-                )
-
-    # -- the staged (multi-fidelity) wave ------------------------------------------
-    def _evaluate_wave_staged(self, jobs: List[_EpisodeJob], pool: WorkerPool) -> None:
+    def _evaluate_stages(self, jobs: List[_EpisodeJob], pool: WorkerPool) -> None:
         """Drive one wave through gates and the fidelity ladder.
 
-        Gate stages run in the engine (pricing needs only the descriptor and
-        the offline latency table), so gate rejections never reach a worker
-        and do not count toward ``evaluations_run`` -- unlike the
-        single-stage path, where the worker prices (and counts) them.  Each
-        fidelity stage trains the current survivors on the worker pool, then
-        promotes the top ``promote_fraction`` of the wave's valid children to
-        the next stage.
-        Children that stop early keep their proxy-stage result as the
-        episode's reward -- the staged generalisation of the paper's "price
-        before train" refusal.  Cache lookups are per (child, fidelity), so
-        replays skip the training without changing any promotion decision.
+        The default ladder is a single full-fidelity stage, so a plain run is
+        "latency gate + one full training".  Each stage trains the current
+        survivors (see :meth:`_run_stage`: cache lookup, then gates, then
+        build), then promotes the top ``promote_fraction`` of the wave's
+        valid children to the next stage.  Children that stop early keep
+        their proxy-stage result as the episode's reward -- the staged
+        generalisation of the paper's "price before train" refusal.  Cache
+        lookups are per (child, fidelity), so replays skip the training
+        without changing any promotion decision.
         """
-        pipeline = self.pipeline
-        survivors: List[_EpisodeJob] = []
-        with self.tracer.span("gates"):
-            for job in jobs:
-                pricing = pipeline.price(job.descriptor)
-                job.pricing = pricing
-                if not pricing.passed and pipeline.bypass_invalid:
-                    job.evaluation = pipeline.rejection_result(pricing)
-                    job.stages = [
-                        f"gate:{outcome.gate}" for outcome in pricing.failures()
-                    ]
-                    job.worker = "gate"
-                    self._emit(
-                        GATE_REJECTED,
-                        episode=job.episode,
-                        payload={
-                            "gates": [outcome.gate for outcome in pricing.failures()],
-                            "latency_ms": pricing.latency_ms,
-                        },
-                    )
-                else:
-                    survivors.append(job)
-        if len(pipeline.fidelities) > 1 and self.config.backend != "process":
-            # Promotion re-trains later stages from the child's initial
-            # weights, which in-process proxy training would otherwise have
-            # mutated.  Process workers train a pickled copy, so the parent's
-            # model already holds the initial weights and shipping a snapshot
-            # would double every promoted task's payload for no effect.
-            for job in survivors:
-                job.initial_weights = snapshot_weights(job.child.model)
-
-        stages = pipeline.fidelities
+        stages = self.pipeline.fidelities
+        survivors = list(jobs)
         for index, fidelity in enumerate(stages):
-            if not survivors:
-                break
-            is_last = index == len(stages) - 1
             with self.tracer.span(
                 f"stage:{fidelity.name}", children=len(survivors)
             ):
-                evaluated = self._run_stage(survivors, fidelity, index, pool)
+                survivors, evaluated = self._run_stage(survivors, fidelity, pool)
+            if not survivors:
+                break
             self._emit(
                 STAGE_FINISHED,
                 payload={
@@ -933,15 +811,13 @@ class SearchEngine:
             )
             for job in survivors:
                 job.stages.append(fidelity.name)
-            if is_last:
-                for job in survivors:
-                    self._finalize_staged_job(job)
+            if index == len(stages) - 1:
                 break
             with self.tracer.span("promotion"):
                 ranked = sorted(
-                    survivors, key=lambda job: (-job.stage_result.reward, job.episode)
+                    survivors, key=lambda job: (-job.evaluation.reward, job.episode)
                 )
-                eligible = [job for job in ranked if job.stage_result.is_valid]
+                eligible = [job for job in ranked if job.evaluation.is_valid]
                 # The quota is a fraction of the wave's *valid* children:
                 # invalid proxy results can never win, so they neither advance
                 # nor pad the promotion budget of the children that can.
@@ -951,10 +827,6 @@ class SearchEngine:
                     else 0
                 )
                 promoted = eligible[:quota]
-                promoted_ids = {id(job) for job in promoted}
-                for job in survivors:
-                    if id(job) not in promoted_ids:
-                        self._finalize_staged_job(job)
             self._m_promotions.inc(len(promoted))
             self._emit(
                 WAVE_PROMOTED,
@@ -969,112 +841,119 @@ class SearchEngine:
 
     def _run_stage(
         self,
-        survivors: List[_EpisodeJob],
+        jobs: List[_EpisodeJob],
         fidelity: FidelityConfig,
-        stage_index: int,
         pool: WorkerPool,
-    ) -> int:
-        """Evaluate one fidelity stage for ``survivors``; returns trainings run.
+    ) -> Tuple[List[_EpisodeJob], int]:
+        """Evaluate one fidelity stage; returns (children past the gates, trainings).
 
-        With caching on, duplicate children within the wave train once per
-        stage and share the result, exactly as they would across waves
-        through the cache; with caching off every survivor trains, matching
-        the cache-off single-fidelity semantics.
+        Every job is looked up in the cache first.  A miss is priced (once
+        per job: pricing needs only the descriptor and the offline latency
+        table) and a child failing a gate gets the untrained rejection result
+        on the spot -- never built, never cached, not counted in
+        ``evaluations_run``.  Only the surviving unique misses are built,
+        from the seed drawn at sample time, and trained on the pool.  With
+        caching on, duplicate children within the wave train once and share
+        the result, exactly as they would across waves through the cache;
+        with caching off every survivor trains.
         """
-        for job in survivors:
-            job.stage_result = None
-            job.stage_cached = False
-            job.stage_worker = ""
-            job.cache_key = (
-                self.child_cache_key(job.descriptor, fidelity)
-                if self.cache is not None
-                else None
-            )
-            if self.cache is not None:
-                cached = self.cache.get(job.cache_key)
-                if cached is not None:
-                    job.stage_result = cached
-                    job.stage_cached = True
-                    job.stage_worker = "cache"
-                    self._emit(
-                        CACHE_HIT,
-                        episode=job.episode,
-                        payload={
-                            "key": job.cache_key,
-                            "stage": fidelity.name,
-                            "reward": cached.reward,
-                        },
-                    )
-
+        pipeline = self.pipeline
+        survivors: List[_EpisodeJob] = []
+        unique: List[Tuple[_EpisodeJob, Optional[str]]] = []
+        repeats: List[Tuple[_EpisodeJob, str, _EpisodeJob]] = []
         first_by_key: Dict[str, _EpisodeJob] = {}
-        unique: List[_EpisodeJob] = []
-        for job in survivors:
-            if job.stage_result is not None:
+        for job in jobs:
+            key = None if job.cache_key is None else _stage_key(job.cache_key, fidelity)
+            cached = self.cache.get(key) if key is not None else None
+            if cached is not None:
+                self._take_cached(job, cached, key, fidelity)
+                survivors.append(job)
                 continue
-            if self.cache is None:
-                unique.append(job)
+            primary = first_by_key.get(key)
+            if primary is not None:
+                job.pricing = primary.pricing
+            elif job.pricing is None:
+                job.pricing = pipeline.price(job.descriptor)
+            if not job.pricing.passed and pipeline.bypass_invalid:
+                self._reject(job)
                 continue
-            dedupe_key = combine_fingerprints(job.descriptor.cache_key(), fidelity.name)
-            if dedupe_key in first_by_key:
+            survivors.append(job)
+            if primary is not None:
+                repeats.append((job, key, primary))
                 continue
-            first_by_key[dedupe_key] = job
-            unique.append(job)
+            if key is not None:
+                first_by_key[key] = job
+            unique.append((job, key))
         if unique:
+            # Pools that shipped the evaluator at startup get child-only
+            # payloads; the worker reads the evaluator from its shared slot.
             evaluator = None if pool.uses_shared else self.search.evaluator
+            producer = self.search.producer
             payloads = [
                 (
                     evaluator,
-                    job.child,
+                    producer.produce(job.descriptor, seed=job.seed),
                     fidelity.name,
                     job.pricing,
-                    job.initial_weights if stage_index > 0 else None,
                 )
-                for job in unique
+                for job, _key in unique
             ]
-            results = pool.map_ordered(_evaluate_stage_payload, payloads)
-            for job, ((evaluation, elapsed, started), worker) in zip(unique, results):
-                job.stage_result = evaluation
-                job.stage_worker = worker
+            results = pool.map_ordered(_train_payload, payloads)
+            for (job, key), ((evaluation, elapsed, started), worker) in zip(
+                unique, results
+            ):
+                job.evaluation = evaluation
+                job.cache_hit = False
+                job.worker = worker
                 job.elapsed_seconds += elapsed
                 self.evaluations_run += 1
                 self._m_evaluations.labels(fidelity=fidelity.name).inc()
                 self.tracer.record(
-                    f"train:{fidelity.name}",
+                    "train",
                     start=started,
                     duration=elapsed,
                     tid=worker,
                     episode=job.episode,
+                    fidelity=fidelity.name,
                 )
                 self.evaluations_by_fidelity[fidelity.name] = (
                     self.evaluations_by_fidelity.get(fidelity.name, 0) + 1
                 )
-                if self.cache is not None and job.cache_key is not None:
-                    self.cache.put(job.cache_key, evaluation)
-        for job in survivors:
-            if job.stage_result is None:  # an intra-wave repeat
-                dedupe_key = combine_fingerprints(
-                    job.descriptor.cache_key(), fidelity.name
-                )
-                primary = first_by_key[dedupe_key]
-                job.stage_result = primary.stage_result
-                job.stage_cached = True
-                job.stage_worker = "cache"
-                self._emit(
-                    CACHE_HIT,
-                    episode=job.episode,
-                    payload={
-                        "key": job.cache_key,
-                        "stage": fidelity.name,
-                        "reward": job.stage_result.reward,
-                    },
-                )
-        return len(unique)
+                if key is not None:
+                    self.cache.put(key, evaluation)
+        for job, key, primary in repeats:
+            self._take_cached(job, primary.evaluation, key, fidelity)
+        return survivors, len(unique)
 
-    def _finalize_staged_job(self, job: _EpisodeJob) -> None:
-        """Freeze a staged job's current stage result as the episode outcome."""
-        job.evaluation = job.stage_result
-        job.cache_hit = job.stage_cached
-        job.worker = job.stage_worker
+    def _take_cached(
+        self,
+        job: _EpisodeJob,
+        evaluation: EvaluationResult,
+        key: str,
+        fidelity: FidelityConfig,
+    ) -> None:
+        """Give ``job`` a stage result it did not train for."""
+        job.evaluation = evaluation
+        job.cache_hit = True
+        job.worker = "cache"
+        self._emit(
+            CACHE_HIT,
+            episode=job.episode,
+            payload={"key": key, "stage": fidelity.name, "reward": evaluation.reward},
+        )
+
+    def _reject(self, job: _EpisodeJob) -> None:
+        """Give a gate-failing child the untrained ``INVALID_REWARD`` result."""
+        failed = [outcome.gate for outcome in job.pricing.failures()]
+        job.evaluation = self.pipeline.rejection_result(job.pricing)
+        job.cache_hit = False
+        job.worker = "gate"
+        job.stages.extend(f"gate:{gate}" for gate in failed)
+        self._emit(
+            GATE_REJECTED,
+            episode=job.episode,
+            payload={"gates": failed, "latency_ms": job.pricing.latency_ms},
+        )
 
     def _observe(self, job: _EpisodeJob, history: SearchHistory) -> None:
         """Feed one episode's reward back and record it (episode order)."""

@@ -35,7 +35,7 @@ BATCH_FINISHED = "batch-finished"
 EPISODE_FINISHED = "episode-finished"
 CACHE_HIT = "cache-hit"
 CHECKPOINT_WRITTEN = "checkpoint-written"
-# Evaluation-pipeline kinds (staged runs only).
+# Evaluation-pipeline kinds (every run: the default is one gate + one stage).
 GATE_REJECTED = "gate-rejected"
 STAGE_FINISHED = "stage-finished"
 WAVE_PROMOTED = "wave-promoted"

@@ -60,22 +60,27 @@ _BLAS_ENV_VARS = (
 _PROCESS_SHARED: Any = None
 
 
-def limit_blas_threads(num_threads: Optional[int]) -> None:
+def limit_blas_threads(num_threads: Optional[int]) -> Optional[int]:
     """Pin the BLAS/OpenMP thread count of *this* process.
 
     Sets the conventional environment variables (effective for runtimes whose
     libraries have not been loaded yet -- e.g. ``spawn``-started workers) and
-    additionally calls ``openblas_set_num_threads`` on any OpenBLAS shared
-    library numpy already loaded, which is what makes the limit stick under
+    additionally calls the OpenBLAS thread setter (under whichever symbol
+    name the build exports) on any OpenBLAS shared library numpy already
+    loaded, which is what makes the limit stick under
     the default ``fork`` start method where the parent's numpy (and its BLAS
     thread pool configuration) is inherited.  ``None`` is a no-op.
+
+    Returns the OpenBLAS thread count in effect before the call (None when
+    no OpenBLAS runtime was found), so a caller can put it back.
     """
     if num_threads is None:
-        return
+        return None
     if num_threads <= 0:
         raise ValueError("num_threads must be positive")
     for name in _BLAS_ENV_VARS:
         os.environ[name] = str(num_threads)
+    previous = None
     try:  # pragma: no cover - depends on the numpy build
         import ctypes
         import glob
@@ -96,14 +101,23 @@ def limit_blas_threads(num_threads: Optional[int]) -> None:
                 lib = ctypes.CDLL(path)
             except OSError:
                 continue
-            for symbol in ("openblas_set_num_threads64_", "openblas_set_num_threads"):
-                setter = getattr(lib, symbol, None)
+            for symbol in (
+                # numpy >= 2 bundles scipy-openblas, whose exports are prefixed.
+                "scipy_openblas_{}_num_threads64_",
+                "openblas_{}_num_threads64_",
+                "openblas_{}_num_threads",
+            ):
+                setter = getattr(lib, symbol.format("set"), None)
                 if setter is not None:
+                    getter = getattr(lib, symbol.format("get"), None)
+                    if getter is not None:
+                        previous = int(getter())
                     setter(int(num_threads))
                     break
     except Exception:
         # Best effort: an exotic BLAS build falls back to the env vars alone.
         pass
+    return previous
 
 
 def _init_process_worker(shared: Any, blas_threads: Optional[int] = None) -> None:

@@ -3,8 +3,7 @@
 All values are transcribed from the tables and figures of "The Larger The
 Fairer?" (DAC 2022).  They are *targets for shape comparison* -- the
 reproduction's absolute numbers come from a synthetic dataset and an analytic
-latency model, so only orderings and rough ratios are expected to match (see
-EXPERIMENTS.md).
+latency model, so only orderings and rough ratios are expected to match.
 """
 
 from __future__ import annotations

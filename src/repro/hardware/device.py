@@ -65,7 +65,7 @@ class DeviceProfile:
 
 
 # Coefficients fitted against the paper's reported latencies (see
-# repro.hardware.calibration.fit_device_profile and EXPERIMENTS.md).
+# repro.hardware.calibration.fit_device_profile).
 RASPBERRY_PI_4 = DeviceProfile(
     name="Raspberry Pi 4B",
     conv_ns_per_mac=0.0247,

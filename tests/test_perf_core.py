@@ -509,11 +509,15 @@ def _read_blas_env(_payload):
 class TestWorkerBlasPinning:
     def test_limit_blas_threads_sets_env(self):
         saved = {k: os.environ.get(k) for k in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS")}
+        previous = None
         try:
-            limit_blas_threads(3)
+            previous = limit_blas_threads(3)
             assert os.environ["OMP_NUM_THREADS"] == "3"
             assert os.environ["OPENBLAS_NUM_THREADS"] == "3"
         finally:
+            if previous is not None:
+                # The pin reaches the loaded OpenBLAS; undo it for later tests.
+                limit_blas_threads(previous)
             for key, value in saved.items():
                 if value is None:
                     os.environ.pop(key, None)

@@ -15,8 +15,6 @@ from repro.core.pipeline import (
     EvaluationPipeline,
     FidelityConfig,
     PipelineSettings,
-    restore_weights,
-    snapshot_weights,
 )
 from repro.core.policy import PolicyGradientConfig
 from repro.core.reward import INVALID_REWARD, RewardConfig, compute_reward
@@ -25,6 +23,7 @@ from repro.engine.cli import main as cli_main
 from repro.engine.events import EARLY_STOPPED, WAVE_PROMOTED, WAVE_RESIZED
 from repro.fairness.report import evaluate_fairness
 from repro.hardware.constraints import DesignSpec, HardwareSpec, SoftwareSpec
+from repro.nn.layers.norm import BatchNorm2d
 from repro.nn.trainer import TrainingConfig
 from repro.api.spec import RunSpec
 
@@ -192,23 +191,53 @@ class TestGates:
             assert record.accuracy > 0.0
 
 
-class TestWeightSnapshots:
-    def test_snapshot_restore_roundtrip(self, tiny_splits, tiny_backbone):
+def _batchnorm_statistics(model):
+    return [
+        stat.copy()
+        for module in model.modules()
+        if isinstance(module, BatchNorm2d)
+        for stat in (module.running_mean, module.running_var)
+    ]
+
+
+class TestChildRebuild:
+    def test_rebuild_from_seed_restores_initial_weights(
+        self, tiny_splits, tiny_backbone
+    ):
+        """A promoted child's next stage trains from its initial weights.
+
+        Training mutates the child in place; building it again from the seed
+        drawn at sample time recovers the untrained parameters, batch-norm
+        statistics and frozen prefix exactly.
+        """
         search = _search(tiny_splits, tiny_backbone)
-        child = search.producer.produce(
-            search.controller.sample(rng=np.random.default_rng(0)).decisions,
-            rng=np.random.default_rng(1),
+        producer = search.producer
+        descriptor = producer.describe_child(
+            search.controller.sample(rng=np.random.default_rng(0)).decisions
         )
-        snapshot = snapshot_weights(child.model)
+        seed = producer.child_seed(np.random.default_rng(1))
+        child = producer.produce(descriptor, seed=seed)
         before = {k: v.copy() for k, v in child.model.state_dict().items()}
+        before_stats = _batchnorm_statistics(child.model)
         search.evaluator.pipeline.train_and_score(child)  # mutates in place
         assert any(
             not np.array_equal(before[k], v)
             for k, v in child.model.state_dict().items()
         )
-        restore_weights(child.model, snapshot)
-        after = child.model.state_dict()
+        assert not all(
+            np.array_equal(a, b)
+            for a, b in zip(before_stats, _batchnorm_statistics(child.model))
+        )
+        rebuilt = producer.produce(descriptor, seed=seed)
+        after = rebuilt.model.state_dict()
         assert all(np.array_equal(before[k], after[k]) for k in before)
+        rebuilt_stats = _batchnorm_statistics(rebuilt.model)
+        assert all(np.array_equal(a, b) for a, b in zip(before_stats, rebuilt_stats))
+        # The same draw through produce's own rng path builds the same child.
+        drawn = producer.produce(descriptor, rng=np.random.default_rng(1))
+        assert all(
+            np.array_equal(before[k], v) for k, v in drawn.model.state_dict().items()
+        )
 
 
 # -- bit-for-bit parity of the default (single full-fidelity) pipeline --------------
