@@ -34,10 +34,10 @@ from repro.fleet import (
     ChaosPolicy,
     FleetConfig,
     RemoteWorkerPool,
-    RetryPolicy,
     WorkerAgent,
 )
 from repro.service.daemon import RunService
+from repro.transport import RetryPolicy
 
 QUICK = os.environ.get("BENCH_FLEET_QUICK", "") not in ("", "0")
 WAVE_TASKS = 8 if QUICK else 32

@@ -1,23 +1,21 @@
-"""Spec-driven command line: ``repro-search run spec.json``.
+"""The ``repro-search`` command line: the one parser for every subcommand.
 
 Subcommands:
 
 * ``run [spec.json] [overrides...]``  -- execute a run spec; every leaf of
   the spec schema is exposed as a generated override flag
   (``--search-episodes 20``, ``--engine-backend thread``, ``--strategy
-  random``, boolean fields as ``--engine-use-cache/--no-engine-use-cache``),
+  random``, boolean fields as ``--engine-use-cache/--no-engine-use-cache``);
+  ``--resume`` continues from the checkpoint in ``engine.run_dir``,
 * ``validate spec.json``              -- parse, validate and print the
   canonical spec plus its cache key without running anything,
 * ``strategies``                      -- list the registered strategies,
-* ``serve`` / ``submit`` / ``status`` / ``tail`` / ``cancel`` / ``list``
-  -- the run-service lifecycle (see :mod:`repro.service.cli`): a daemon
-  accepting RunSpec JSON, non-blocking submissions addressed by run id, and
-  typed event-stream tailing that also works offline on any run directory.
+* ``serve`` / ``agent`` / ``submit`` / ``status`` / ``tail`` / ``cancel`` /
+  ``list`` / ``promote`` / ``trace`` / ``top`` -- the run service, fleet,
+  model zoo and observability commands (see :mod:`repro.service.cli`).
 
 The flags are generated from :func:`repro.api.spec.spec_schema`, so a new
-spec field automatically becomes a CLI override.  The legacy flat-flag
-interface (``repro-search --episodes 10 ...``) still works and is handled by
-:mod:`repro.engine.cli`.
+spec field automatically becomes a CLI override.
 """
 
 from __future__ import annotations

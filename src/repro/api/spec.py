@@ -14,11 +14,11 @@ Sections:
   ``monas``, ``random``, or anything registered via
   :func:`repro.api.registry.register_strategy`),
 * ``dataset``   -- :class:`DatasetSpec`: the synthetic dermatology recipe
-  plus the split seed (mirrors :func:`repro.core.api.prepare_dataset`),
+  plus the split seed; :meth:`DatasetSpec.build` generates the splits,
 * ``design``    -- :class:`DesignSpecConfig`: device + timing/accuracy
   constraints, resolved to a :class:`~repro.hardware.constraints.DesignSpec`,
 * ``search``    -- :class:`SearchParams`: the strategy hyper-parameters
-  (same knobs and defaults as the legacy ``run_fahana_search``), plus the
+  (the paper's FaHaNa knobs and defaults), plus the
   engine-level schedule knobs (reward-plateau early stopping, adaptive wave
   sizing),
 * ``evaluation`` -- :class:`~repro.core.pipeline.PipelineSettings`, reused
@@ -69,8 +69,7 @@ class DatasetSpec:
     """Recipe for the synthetic dermatology dataset and its 60/20/20 split.
 
     Defaults mirror :class:`~repro.data.dermatology.DermatologyConfig` plus
-    ``split_seed=0``, so a default ``DatasetSpec`` reproduces
-    ``prepare_dataset()`` exactly.
+    ``split_seed=0``.
     """
 
     image_size: int = 32
@@ -106,8 +105,8 @@ class DesignSpecConfig:
     """Serializable form of the hardware/software design specification.
 
     ``device`` is a built-in profile name (see
-    :func:`repro.hardware.device.list_devices`).  Defaults match
-    :func:`repro.core.api.default_design_spec`.
+    :func:`repro.hardware.device.list_devices`).  Defaults are the paper's
+    specification: Raspberry Pi 4 with TC = 1500 ms.
     """
 
     device: str = "raspberry-pi-4"
@@ -136,11 +135,10 @@ class DesignSpecConfig:
 
 @dataclass(frozen=True)
 class SearchParams:
-    """Strategy hyper-parameters (knobs and defaults of the legacy API).
+    """Strategy hyper-parameters.
 
     ``child_batch_size`` is the child-training batch size; 32 matches the
-    :class:`~repro.nn.trainer.TrainingConfig` default the legacy entry points
-    used.  Strategies are free to ignore knobs that do not apply to them
+    :class:`~repro.nn.trainer.TrainingConfig` default.  Strategies are free to ignore knobs that do not apply to them
     (MONAS ignores ``gamma``/``pretrain_epochs``/``max_searchable``, random
     search ignores ``policy_batch`` for learning but keeps it as wave size).
     """

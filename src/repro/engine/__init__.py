@@ -6,7 +6,8 @@
 * :mod:`repro.engine.workers` -- serial / thread / process worker pools,
 * :mod:`repro.engine.checkpoint` -- checkpoint/resume of a running search,
 * :mod:`repro.engine.events` -- event bus plus JSONL telemetry,
-* :mod:`repro.engine.cli` -- the ``repro-search`` command-line entry point.
+* :mod:`repro.engine.cli` -- the ``repro-search`` console-script path (the
+  command tree itself is :mod:`repro.api.cli`).
 """
 
 from repro.engine.cache import EvaluationCache

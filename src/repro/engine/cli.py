@@ -1,224 +1,12 @@
-"""``repro-search``: run a search from the command line.
+"""``repro-search`` / ``python -m repro.engine.cli``: the console entry point.
 
-The primary interface is the spec-driven one (handled by
-:mod:`repro.api.cli`):
-
-    repro-search run spec.json --engine-backend thread --search-episodes 20
-    repro-search validate spec.json
-    repro-search strategies
-
-The run-service lifecycle lives behind the same entry point (see
-:mod:`repro.service.cli`):
-
-    repro-search serve --port 8023 --runs-root runs
-    repro-search agent --url http://127.0.0.1:8023
-    repro-search submit spec.json --url http://127.0.0.1:8023
-    repro-search tail <run-id-or-run-dir> --follow
-    repro-search status/cancel/list ...
-    repro-search top --url http://127.0.0.1:8023
-    repro-search trace <run-id-or-run-dir> --out trace.json
-
-The original flat-flag interface keeps working -- it is translated into the
-same :class:`~repro.api.spec.RunSpec` and routed through the same
-``repro.run`` facade:
-
-    repro-search --episodes 10 --backend thread --workers 2 --run-dir runs/demo
-
-Interrupted runs continue from the last checkpoint with ``--resume``.
+The command tree lives in :mod:`repro.api.cli`; this module only keeps the
+historical module path that ``setup.py`` and ``python -m`` callers use.
 """
 
-from __future__ import annotations
+from repro.api.cli import main
 
-import argparse
-import sys
-from typing import List, Optional
-
-from repro.engine.checkpoint import has_checkpoint
-from repro.engine.workers import BACKENDS
-
-# First-argument tokens that select the spec-driven CLI in repro.api.cli.
-SUBCOMMANDS = (
-    "run",
-    "validate",
-    "strategies",
-    # Run-service lifecycle (repro.service.cli).
-    "serve",
-    "agent",
-    "submit",
-    "status",
-    "tail",
-    "cancel",
-    "list",
-    # Model zoo promotion (repro.serving behind repro.service.cli).
-    "promote",
-    # Observability (repro.obs behind repro.service.cli).
-    "trace",
-    "top",
-)
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro-search",
-        description="Fairness- and hardware-aware NAS with the search engine "
-        "(parallel episodes, evaluation cache, checkpoint/resume).  "
-        "Prefer the spec interface: repro-search run spec.json "
-        "(see repro-search run --help).",
-    )
-    parser.add_argument("--episodes", type=int, default=10, help="search episodes")
-    parser.add_argument(
-        "--backend", choices=BACKENDS, default="serial", help="worker-pool backend"
-    )
-    parser.add_argument("--workers", type=int, default=2, help="worker count")
-    parser.add_argument(
-        "--batch-episodes",
-        type=int,
-        default=None,
-        help="episodes per wave (default: the policy batch size)",
-    )
-    parser.add_argument(
-        "--policy-batch",
-        type=int,
-        default=4,
-        help="policy-gradient batch size (waves of this many episodes "
-        "evaluate concurrently)",
-    )
-    parser.add_argument("--seed", type=int, default=0, help="global seed")
-    parser.add_argument(
-        "--timing-constraint-ms",
-        type=float,
-        default=1500.0,
-        help="hardware timing constraint TC",
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true", help="disable the evaluation cache"
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=None,
-        help="persist the evaluation cache here (shared across runs)",
-    )
-    parser.add_argument(
-        "--run-dir",
-        default=None,
-        help="directory for checkpoints and JSONL telemetry",
-    )
-    parser.add_argument(
-        "--resume",
-        action="store_true",
-        help="continue from the checkpoint in --run-dir",
-    )
-    parser.add_argument(
-        "--checkpoint-every",
-        type=int,
-        default=0,
-        help="checkpoint cadence in episodes (0 = final checkpoint only)",
-    )
-    # Dataset / training scale knobs (defaults sized for a quick demo run).
-    parser.add_argument("--image-size", type=int, default=16, help="image resolution")
-    parser.add_argument(
-        "--samples-per-class", type=int, default=16, help="majority-group samples"
-    )
-    parser.add_argument("--child-epochs", type=int, default=2, help="child train epochs")
-    parser.add_argument(
-        "--pretrain-epochs", type=int, default=2, help="backbone pretrain epochs"
-    )
-    parser.add_argument(
-        "--max-searchable", type=int, default=3, help="cap on searchable positions"
-    )
-    parser.add_argument(
-        "--width-multiplier", type=float, default=0.25, help="training-scale width"
-    )
-    return parser
-
-
-def spec_from_args(args: argparse.Namespace):
-    """Translate the legacy flat flags into a :class:`RunSpec`.
-
-    Field for field this reproduces the search the old CLI constructed by
-    hand (same dataset recipe, same training batch size, same engine knobs).
-    """
-    from repro.api.spec import DatasetSpec, DesignSpecConfig, RunSpec, SearchParams
-    from repro.engine.engine import EngineConfig
-
-    return RunSpec(
-        strategy="fahana",
-        dataset=DatasetSpec(
-            image_size=args.image_size,
-            samples_per_class=args.samples_per_class,
-            minority_fraction=0.5,
-            seed=args.seed,
-            split_seed=args.seed,
-        ),
-        design=DesignSpecConfig(timing_constraint_ms=args.timing_constraint_ms),
-        search=SearchParams(
-            episodes=args.episodes,
-            backbone="MobileNetV2",
-            child_epochs=args.child_epochs,
-            child_batch_size=16,
-            pretrain_epochs=args.pretrain_epochs,
-            max_searchable=args.max_searchable,
-            width_multiplier=args.width_multiplier,
-            seed=args.seed,
-            policy_batch=args.policy_batch,
-        ),
-        engine=EngineConfig(
-            backend=args.backend,
-            num_workers=args.workers,
-            batch_episodes=args.batch_episodes,
-            use_cache=not args.no_cache,
-            cache_dir=None if args.no_cache else args.cache_dir,
-            run_dir=args.run_dir,
-            checkpoint_every=args.checkpoint_every,
-        ),
-    )
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    arguments = list(sys.argv[1:]) if argv is None else list(argv)
-    if arguments and arguments[0] in SUBCOMMANDS:
-        from repro.api.cli import main as api_main
-
-        return api_main(arguments)
-
-    args = build_parser().parse_args(arguments)
-    if args.resume and (args.run_dir is None or not has_checkpoint(args.run_dir)):
-        print("error: --resume needs a --run-dir holding a checkpoint", file=sys.stderr)
-        return 2
-
-    try:
-        from repro.api.run import run as api_run
-
-        spec = spec_from_args(args)
-        print(
-            f"search: {args.episodes} episodes, backend={args.backend} "
-            f"(workers={args.workers}), cache={'off' if args.no_cache else 'on'}"
-            + (f", run_dir={args.run_dir}" if args.run_dir else "")
-        )
-        report = api_run(spec, resume=args.resume)
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-
-    if report.resumed_from is not None:
-        print(f"resumed from episode {report.resumed_from}")
-    print("\n== search summary ==")
-    print(report.result.summary())
-    print(
-        f"\nengine: {report.evaluations_run} evaluations run, "
-        f"{report.cache_hits} cache hits"
-        + (
-            f" (hit rate {report.cache_hit_rate:.1%})"
-            if report.cache_hit_rate is not None
-            else ""
-        )
-        + f", {report.checkpoints_written} checkpoints"
-    )
-    if report.best is not None:
-        print("\n== best searched architecture ==")
-        print(report.best.descriptor.describe())
-    return 0
-
+__all__ = ["main"]
 
 if __name__ == "__main__":
     raise SystemExit(main())

@@ -9,9 +9,8 @@ bit-for-bit equal to a local run.  The package splits along trust lines:
 * :mod:`repro.fleet.pool` -- :class:`RemoteWorkerPool`, the
   ``map_ordered`` backend the engine sees (``EngineConfig(backend="fleet")``).
 * :mod:`repro.fleet.agent` -- the remote worker process behind
-  ``repro-search agent``.
-* :mod:`repro.fleet.retry` -- the one shared deterministic
-  :class:`RetryPolicy` (also used by :mod:`repro.service.remote`).
+  ``repro-search agent``; it retries on the shared
+  :class:`~repro.transport.RetryPolicy`.
 * :mod:`repro.fleet.chaos` -- deterministic fault injection for the tests
   and ``bench_fleet.py``.
 
@@ -32,7 +31,6 @@ from repro.fleet.pool import (
     install_supervisor,
     installed_supervisor,
 )
-from repro.fleet.retry import RetryPolicy
 from repro.fleet.supervisor import FleetConfig, FleetSupervisor, UnknownAgent
 
 __all__ = [
@@ -44,7 +42,6 @@ __all__ = [
     "FleetConfig",
     "FleetSupervisor",
     "RemoteWorkerPool",
-    "RetryPolicy",
     "UnknownAgent",
     "WorkerAgent",
     "install_supervisor",

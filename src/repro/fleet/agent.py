@@ -21,8 +21,8 @@ that keeps leases renewed), and otherwise loops pull-execute-complete:
   seconds of continuous unreachability before the agent gives it up for
   dead and exits on its own.
 
-All transports run through the shared
-:class:`~repro.fleet.retry.RetryPolicy`, and every call first consults an
+Every attempt is one :func:`repro.transport.send` under the shared
+:class:`~repro.transport.RetryPolicy`, and every attempt first consults an
 optional :class:`~repro.fleet.chaos.ChaosPolicy`, which is how the tests and
 ``bench_fleet.py`` inject dropped messages, duplicate sends, mid-task agent
 death (:class:`~repro.fleet.chaos.AgentKilled`) and stalled heartbeats
@@ -36,15 +36,12 @@ import json
 import threading
 import time
 import urllib.error
-import urllib.request
 from typing import Any, Dict, List, Optional
 
 from repro.fleet.chaos import AgentKilled, ChaosPolicy
 from repro.fleet.pool import run_task
-from repro.fleet.retry import RetryPolicy
 from repro.fleet.supervisor import UnknownAgent
-
-_JSON_HEADERS = {"Content-Type": "application/json"}
+from repro.transport import RetryPolicy, send
 
 
 class FleetClient:
@@ -92,14 +89,14 @@ class FleetClient:
             raise self._map_error(error, payload) from None
 
     def _http(self, op: str, payload: Dict[str, Any]) -> Dict[str, Any]:
-        request = urllib.request.Request(
+        body = send(
+            "POST",
             f"{self.base_url}/agents/{op}",
             data=json.dumps(payload).encode("utf-8"),
-            headers=_JSON_HEADERS,
-            method="POST",
+            content_type="application/json",
+            timeout=self.timeout,
         )
-        with urllib.request.urlopen(request, timeout=self.timeout) as response:
-            return json.load(response)
+        return json.loads(body)
 
     @staticmethod
     def _map_error(
@@ -226,7 +223,7 @@ class WorkerAgent:
         while not self._stop.is_set():
             try:
                 info = self.client.register(self.requested_name)
-            except (urllib.error.URLError, ConnectionError, OSError):
+            except urllib.error.URLError:
                 if deadline is not None and time.monotonic() >= deadline:
                     raise TimeoutError(
                         f"no daemon at {self.client.base_url} within "

@@ -9,13 +9,14 @@ that comes back (statuses, reports, events) is plain JSON -- events are
 rebuilt into typed :class:`~repro.engine.events.EngineEvent` objects via
 ``EngineEvent.from_dict``, so consumers cannot tell the transports apart.
 
-Transport faults are handled by the fleet's shared
-:class:`~repro.fleet.retry.RetryPolicy`: connection-refused (a daemon
-restarting) and 5xx answers (a daemon draining) retry on its deterministic
-backoff schedule, while 4xx answers and non-idempotent calls -- submitting,
-resuming, promoting -- never retry (a duplicate POST would duplicate the
-work).  Every request carries an explicit timeout, so a stalled read fails
-fast instead of wedging the caller forever.
+Each attempt is one :func:`repro.transport.send` under the shared
+:class:`~repro.transport.RetryPolicy`: connection-level faults -- refused,
+reset or timed out (a daemon restarting or stalled) -- and 5xx answers (a
+daemon draining) retry on its deterministic backoff schedule, while 4xx
+answers and non-idempotent calls -- submitting, resuming, promoting -- never
+retry (a duplicate POST would duplicate the work).  Every request carries an explicit timeout, so a stalled read fails
+fast instead of wedging the caller forever; a fault that outlasts the
+retries surfaces as :class:`~repro.service.errors.ServiceError`.
 """
 
 from __future__ import annotations
@@ -24,12 +25,10 @@ import json
 import time
 import urllib.error
 import urllib.parse
-import urllib.request
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.api.run import _resolve_spec
 from repro.engine.events import EngineEvent
-from repro.fleet.retry import RetryPolicy
 from repro.service import registry as reg
 from repro.service.errors import (
     RunCancelled,
@@ -38,8 +37,7 @@ from repro.service.errors import (
     RunNotReady,
     ServiceError,
 )
-
-_JSON_HEADERS = {"Content-Type": "application/json"}
+from repro.transport import RetryPolicy, send
 
 
 class ServiceExecutor:
@@ -77,16 +75,14 @@ class ServiceExecutor:
         data = None if payload is None else json.dumps(payload).encode("utf-8")
 
         def attempt() -> Dict[str, Any]:
-            request = urllib.request.Request(
+            body = send(
+                method,
                 f"{self.base_url}{path}",
                 data=data,
-                headers=_JSON_HEADERS if data is not None else {},
-                method=method,
+                content_type=None if data is None else "application/json",
+                timeout=self.timeout if timeout is None else timeout,
             )
-            with urllib.request.urlopen(
-                request, timeout=self.timeout if timeout is None else timeout
-            ) as response:
-                return json.load(response)
+            return json.loads(body)
 
         try:
             return self.retry.call(

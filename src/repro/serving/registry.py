@@ -25,10 +25,9 @@ weights), truncated.
 
 Weight archives live in a :class:`repro.store.LocalStore` under ``_blobs/``
 (sharded ``objects/ab/...`` layout, hash-verified reads).  Manifests record
-both the store key (``weights_object``) and the zoo-root-relative path
-(``weights_blob``); entries promoted before the store migration carry only
-the legacy flat ``_blobs/<hash>.npz`` path, which :meth:`ZooRegistry.load_model`
-still reads.
+both the store key (``weights_object``), which is what
+:meth:`ZooRegistry.load_model` reads, and the zoo-root-relative path
+(``weights_blob``) for humans.
 """
 
 from __future__ import annotations
@@ -53,12 +52,11 @@ from repro.nn.trainer import Trainer, TrainingConfig
 from repro.serving.artifacts import (
     arrays_to_bytes,
     capture_model_arrays,
-    load_arrays,
     load_arrays_bytes,
     model_content_hash,
     restore_model_arrays,
 )
-from repro.store import LocalStore
+from repro.store import LocalStore, StoreError
 from repro.service import registry as runs_registry
 from repro.service.errors import RunNotReady
 from repro.service.registry import RunRegistry
@@ -158,10 +156,6 @@ class ZooRegistry:
     def entry_dir(self, name: str, version: str) -> str:
         return os.path.join(self.root, name, version)
 
-    def blob_path(self, weights_hash: str) -> str:
-        """The pre-store flat blob path (still readable, no longer written)."""
-        return os.path.join(self.root, BLOBS_DIR, f"{weights_hash}.npz")
-
     # -- listing / lookup ---------------------------------------------------------
     def list_entries(self) -> List[ZooEntry]:
         """Every promoted (name, version) pair, sorted."""
@@ -212,24 +206,31 @@ class ZooRegistry:
             width_multiplier=float(payload["width_multiplier"]),
             rng=int(payload["init_seed"]),
         )
-        arrays = self._load_weights(entry.manifest)
-        restore_model_arrays(model, arrays)
+        restore_model_arrays(model, self._load_weights(entry))
         return model, descriptor, entry
 
-    def _load_weights(self, manifest: Dict[str, Any]) -> Dict[str, np.ndarray]:
-        """A manifest's weight snapshot, store-first with a legacy fallback.
+    def _load_weights(self, entry: ZooEntry) -> Dict[str, np.ndarray]:
+        """An entry's weight snapshot, read hash-verified from the store.
 
-        Entries promoted since the store migration carry ``weights_object``
-        (a content key); reading through the store verifies the archive
-        hash.  Older manifests only name the flat ``_blobs/<hash>.npz``
-        path, which remains readable in place.
+        Raises :class:`~repro.store.StoreError` naming the entry and its
+        ``weights_object`` key when the object is missing or corrupt (the
+        store deletes a corrupt object on read), or when the manifest has
+        no key at all -- an entry promoted before the store migration, which
+        must be promoted again.
         """
-        key = manifest.get("weights_object")
-        if key is not None:
-            data = self.store.get(str(key))
-            if data is not None:
-                return load_arrays_bytes(data)
-        return load_arrays(os.path.join(self.root, manifest["weights_blob"]))
+        key = entry.manifest.get("weights_object")
+        data = None if key is None else self.store.get(str(key))
+        if data is None:
+            problem = (
+                "has no weights_object (promoted before the store migration)"
+                if key is None
+                else f"weights_object {key} is missing or corrupt in {self.store.root}"
+            )
+            raise StoreError(
+                f"zoo entry {entry.name}@{entry.version} {problem}; "
+                "promote the run again to restore it"
+            )
+        return load_arrays_bytes(data)
 
     # -- promotion ----------------------------------------------------------------
     def promote_run(

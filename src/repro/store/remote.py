@@ -14,8 +14,9 @@ weight blobs), everything else is JSON::
 
 Every operation is idempotent -- content-addressed puts store the same bytes
 under the same name, and the evaluation tier's refs are written with
-deterministic values -- so all of them retry on the fleet's shared
-jitter-free :class:`~repro.fleet.retry.RetryPolicy`.  Faults split cleanly:
+deterministic values -- so every attempt is one
+:func:`repro.transport.send`, retried on the shared jitter-free
+:class:`~repro.transport.RetryPolicy`.  Faults split cleanly:
 a 404 is a miss (None/False), a connection-level failure or a post-retry
 5xx raises :class:`~repro.store.core.StoreUnavailable` (the signal
 :class:`~repro.store.tiered.TieredStore` degrades on), any other status is a
@@ -30,8 +31,7 @@ from __future__ import annotations
 
 import json
 import urllib.error
-import urllib.request
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional
 
 from repro.store.core import (
     KEY_PATTERN,
@@ -39,12 +39,10 @@ from repro.store.core import (
     StoreUnavailable,
     object_key,
 )
+from repro.transport import RetryPolicy, send
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.fleet.retry import RetryPolicy
-
-_OCTET_HEADERS = {"Content-Type": "application/octet-stream"}
-_JSON_HEADERS = {"Content-Type": "application/json"}
+_OCTET = "application/octet-stream"
+_JSON = "application/json"
 
 # Sentinel distinguishing "the daemon answered 404" from a JSON null body.
 _MISS = object()
@@ -57,18 +55,11 @@ class RemoteStore:
         self,
         base_url: str,
         timeout: float = 10.0,
-        retry: Optional["RetryPolicy"] = None,
+        retry: Optional[RetryPolicy] = None,
     ):
-        if retry is None:
-            # Imported lazily: repro.fleet's package init reaches the engine,
-            # which imports repro.store back -- a top-level import here would
-            # make ``import repro.store`` order-dependent.
-            from repro.fleet.retry import RetryPolicy
-
-            retry = RetryPolicy()
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
-        self.retry = retry
+        self.retry = retry or RetryPolicy()
         self.corrupt_reads = 0
 
     # -- HTTP plumbing -------------------------------------------------------------
@@ -77,19 +68,18 @@ class RemoteStore:
         method: str,
         path: str,
         data: Optional[bytes] = None,
-        headers: Optional[Dict[str, str]] = None,
+        content_type: Optional[str] = None,
     ):
         """One raw round trip under the retry policy; ``_MISS`` on 404."""
 
         def attempt() -> bytes:
-            request = urllib.request.Request(
+            return send(
+                method,
                 f"{self.base_url}{path}",
                 data=data,
-                headers=headers or {},
-                method=method,
+                content_type=content_type,
+                timeout=self.timeout,
             )
-            with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                return response.read()
 
         try:
             return self.retry.call(attempt, idempotent=True)
@@ -105,10 +95,9 @@ class RemoteStore:
                 f"store endpoint {method} {path} rejected the request: "
                 f"HTTP {error.code}"
             ) from None
-        except (urllib.error.URLError, ConnectionError, TimeoutError, OSError) as error:
-            reason = getattr(error, "reason", error)
+        except urllib.error.URLError as error:
             raise StoreUnavailable(
-                f"store unreachable at {self.base_url}: {reason}"
+                f"store unreachable at {self.base_url}: {error.reason}"
             ) from None
 
     # -- objects -------------------------------------------------------------------
@@ -129,7 +118,7 @@ class RemoteStore:
         return key
 
     def put_object(self, key: str, data: bytes) -> str:
-        self._request("PUT", f"/store/{key}", data=data, headers=_OCTET_HEADERS)
+        self._request("PUT", f"/store/{key}", data=data, content_type=_OCTET)
         return key
 
     def has(self, key: str) -> bool:
@@ -144,7 +133,7 @@ class RemoteStore:
             "POST",
             "/store/has",
             data=json.dumps({"keys": wanted}).encode("utf-8"),
-            headers=_JSON_HEADERS,
+            content_type=_JSON,
         )
         present = json.loads(raw.decode("utf-8")).get("present", {})
         return {key: bool(present.get(key, False)) for key in wanted}
@@ -164,7 +153,7 @@ class RemoteStore:
             "PUT",
             f"/store/refs/{name}",
             data=json.dumps({"key": content_key}).encode("utf-8"),
-            headers=_JSON_HEADERS,
+            content_type=_JSON,
         )
 
     # -- stats ---------------------------------------------------------------------

@@ -1,4 +1,23 @@
-"""One deterministic retry/backoff policy for every client<->daemon call.
+"""The one HTTP client path: a single-attempt :func:`send` and :class:`RetryPolicy`.
+
+Every client<->daemon call in the package -- the run-service executor, the
+remote store tier, the fleet agent and ``repro-search top`` -- goes through
+:func:`send` for each attempt and through :class:`RetryPolicy` for the loop
+around it.  Each caller keeps its own status-to-error mapping and declares
+its own idempotency; this module only decides what a transport fault looks
+like and when to try again.
+
+:func:`send` makes exactly one request through urllib's module-level opener
+(no per-call opener, no connection reuse) and normalises its failures to two
+shapes:
+
+* ``urllib.error.HTTPError`` -- the daemon answered with a 4xx/5xx status;
+  re-raised as is, body still readable, so callers map it to their errors.
+* ``urllib.error.URLError`` -- the daemon was not reached or the exchange
+  broke.  urllib wraps connect-time faults itself, but faults raised while
+  reading the response (``TimeoutError``, ``http.client.RemoteDisconnected``,
+  ``ConnectionResetError``, a truncated body) escape it raw; :func:`send`
+  wraps those too, so "daemon unreachable" is one exception type everywhere.
 
 Distribution multiplies the ways a single HTTP request can fail -- connection
 refused while a daemon restarts, a 503 while it drains, a socket timeout on a
@@ -26,8 +45,10 @@ retried -- the request itself is wrong and will be wrong again.
 
 from __future__ import annotations
 
+import http.client
 import time
 import urllib.error
+import urllib.request
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, Tuple
 
@@ -107,3 +128,27 @@ class RetryPolicy:
                 if delay > 0:
                     sleep(delay)
         raise AssertionError("unreachable: the loop returns or raises")
+
+
+def send(
+    method: str,
+    url: str,
+    *,
+    data: Optional[bytes] = None,
+    content_type: Optional[str] = None,
+    timeout: float,
+) -> bytes:
+    """One HTTP attempt; returns the response body.
+
+    Raises ``HTTPError`` for an error status and ``URLError`` for every
+    connection-level fault (see the module docstring).
+    """
+    headers = {} if content_type is None else {"Content-Type": content_type}
+    request = urllib.request.Request(url, data=data, headers=headers, method=method)
+    try:
+        with urllib.request.urlopen(request, timeout=timeout) as response:
+            return response.read()
+    except urllib.error.URLError:
+        raise  # already the right shape (URLError is itself an OSError)
+    except (OSError, http.client.HTTPException) as error:
+        raise urllib.error.URLError(error) from error

@@ -1,11 +1,11 @@
 """Tests for the declarative run API: RunSpec serialization, the strategy
-registry, the ``repro.run`` facade, legacy-shim parity and the CLI."""
+registry, the ``repro.run`` facade, its pinned search digest and the CLI."""
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
-import warnings
 
 import pytest
 
@@ -21,11 +21,10 @@ from repro.api import (
     spec_schema,
     unregister_strategy,
 )
-from repro.core.api import prepare_dataset, run_engine_search, run_fahana_search
 from repro.core.fahana import FaHaNaSearch
-from repro.data.dermatology import DermatologyConfig
 from repro.engine import EngineConfig, EvaluationCache, create_pool
 from repro.engine.cli import main as cli_main
+from repro.engine.serde import descriptor_to_dict
 from repro.engine.workers import process_shared
 
 
@@ -166,55 +165,45 @@ class TestRegistry:
             unregister_strategy("custom-fahana")
 
 
+# sha256 of the history the removed run_fahana_search() produced for the
+# spec in test_spec_file_run_matches_legacy_run_fahana_search, recorded
+# before the shim was deleted.
+_LEGACY_FAHANA_DIGEST = "abc5714d8705968309528df8e879a5fb21cf58620dc39b6e3a02875d5a7f007a"
+
+
+def _history_digest(history) -> str:
+    payload = {
+        "records": [
+            {
+                "decisions": record.decisions,
+                "descriptor": descriptor_to_dict(record.descriptor),
+                "reward": float(record.reward).hex(),
+            }
+            for record in history.records
+        ],
+        "space": [
+            history.space_size,
+            history.full_space_size,
+            history.frozen_blocks,
+            history.searchable_blocks,
+        ],
+    }
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 class TestRunFacade:
     def test_spec_file_run_matches_legacy_run_fahana_search(self, tmp_path):
-        """The acceptance criterion: repro.run(from_file(...)) reproduces the
-        legacy entry point exactly (same history, modulo wall-clock)."""
-        # The legacy entry point trains children at the TrainingConfig
-        # default batch size (32), so the spec pins the same value.
+        """repro.run(from_file(...)) still reproduces the search the removed
+        ``run_fahana_search(...)`` entry point ran for this spec: same
+        decisions, descriptors, float64 rewards and space sizes."""
         spec = _tiny_spec(episodes=3)
         spec = dataclasses.replace(
             spec, search=dataclasses.replace(spec.search, child_batch_size=32)
         )
         path = spec.to_file(str(tmp_path / "spec.json"))
         report = repro.run(RunSpec.from_file(path))
-
-        splits = prepare_dataset(
-            DermatologyConfig(
-                image_size=10,
-                samples_per_class_majority=8,
-                minority_fraction=0.5,
-                seed=123,
-            ),
-            seed=0,
-        )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = run_fahana_search(
-                splits.train,
-                splits.validation,
-                spec.design.build(),
-                episodes=3,
-                child_epochs=1,
-                pretrain_epochs=0,
-                max_searchable=2,
-                width_multiplier=0.25,
-                seed=0,
-            )
-
-        a, b = report.history, legacy.history
-        assert a.reward_trajectory() == b.reward_trajectory()
-        assert [r.decisions for r in a.records] == [r.decisions for r in b.records]
-        assert [r.descriptor for r in a.records] == [r.descriptor for r in b.records]
-        for ours, theirs in zip(a.records, b.records):
-            for field in (
-                "episode", "reward", "accuracy", "unfairness", "latency_ms",
-                "storage_mb", "num_parameters", "trained", "group_accuracy",
-            ):
-                assert getattr(ours, field) == getattr(theirs, field)
-        assert (a.space_size, a.full_space_size, a.frozen_blocks, a.searchable_blocks) == (
-            b.space_size, b.full_space_size, b.frozen_blocks, b.searchable_blocks
-        )
+        assert _history_digest(report.history) == _LEGACY_FAHANA_DIGEST
 
     def test_random_strategy_runs_and_is_deterministic(self):
         first = repro.run(_tiny_spec("random"))
@@ -320,50 +309,6 @@ class TestRunFacade:
             repro.run(42)
 
 
-class TestLegacyShims:
-    def test_deprecation_warnings_emitted(self, tiny_splits):
-        with pytest.warns(DeprecationWarning, match="run_fahana_search"):
-            run_fahana_search(
-                tiny_splits.train,
-                tiny_splits.validation,
-                episodes=1,
-                child_epochs=1,
-                pretrain_epochs=0,
-                max_searchable=2,
-                width_multiplier=0.25,
-            )
-
-    def test_engine_conflict_in_shim(self, tiny_splits):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with pytest.raises(ValueError, match="backend.*num_workers|num_workers"):
-                run_engine_search(
-                    tiny_splits.train,
-                    tiny_splits.validation,
-                    backend="thread",
-                    num_workers=4,
-                    engine=EngineConfig(),
-                )
-
-    def test_shim_still_returns_result_and_engine(self, tiny_splits, tmp_path):
-        run_dir = str(tmp_path / "run")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            result, engine = run_engine_search(
-                tiny_splits.train,
-                tiny_splits.validation,
-                episodes=1,
-                engine=EngineConfig(run_dir=run_dir, use_cache=True),
-                pretrain_epochs=0,
-                child_epochs=1,
-                max_searchable=2,
-                width_multiplier=0.25,
-                seed=0,
-            )
-        assert len(result.history) == 1
-        assert engine.config.run_dir == run_dir
-
-
 def _add_to_shared(increment: int) -> int:
     return process_shared() + increment
 
@@ -440,6 +385,13 @@ class TestSpecCli:
         out = capsys.readouterr().out
         for name in ("fahana", "monas", "random"):
             assert name in out
+
+    def test_flat_flags_are_a_usage_error(self, capsys):
+        """The flat-flag interface is gone: a subcommand is required."""
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["--episodes", "2"])
+        assert exit_info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 class TestRootExports:

@@ -11,6 +11,8 @@ import time
 import numpy as np
 import pytest
 
+import repro
+from repro.api import DatasetSpec, RunSpec, SearchParams
 from repro.blocks.spec import BlockSpec, ClassifierSpec, StemSpec
 from repro.core import FaHaNaConfig, FaHaNaSearch, ProducerConfig
 from repro.core.evaluator import EvaluationResult
@@ -463,39 +465,44 @@ class TestEngineConfigResolution:
 
 class TestRunEngineSearch:
     def test_explicit_engine_config_is_honored(self, tiny_splits, tmp_path):
-        from repro.core import run_engine_search
-
         run_dir = str(tmp_path / "run")
-        result, engine = run_engine_search(
-            tiny_splits.train,
-            tiny_splits.validation,
-            episodes=1,
-            engine=EngineConfig(run_dir=run_dir, use_cache=True),
-            backbone="MobileNetV2",
-            pretrain_epochs=0,
-            child_epochs=1,
-            max_searchable=2,
-            width_multiplier=0.25,
-            seed=0,
+        spec = RunSpec(
+            search=SearchParams(
+                episodes=1,
+                backbone="MobileNetV2",
+                pretrain_epochs=0,
+                child_epochs=1,
+                max_searchable=2,
+                width_multiplier=0.25,
+                seed=0,
+            )
         )
-        assert len(result.history) == 1
-        assert engine.config.run_dir == run_dir
+        report = repro.run(
+            spec,
+            engine=EngineConfig(run_dir=run_dir, use_cache=True),
+            train_dataset=tiny_splits.train,
+            validation_dataset=tiny_splits.validation,
+        )
+        assert len(report.history) == 1
+        assert report.engine.config.run_dir == run_dir
         assert has_checkpoint(run_dir)
 
 
 class TestCli:
     def test_cli_smoke_run_and_resume(self, tmp_path, capsys):
         run_dir = str(tmp_path / "run")
-        args = [
-            "--episodes", "2",
-            "--image-size", "10",
-            "--samples-per-class", "8",
-            "--child-epochs", "1",
-            "--pretrain-epochs", "0",
-            "--max-searchable", "2",
-            "--policy-batch", "1",
-            "--run-dir", run_dir,
-        ]
+        spec_path = RunSpec(
+            dataset=DatasetSpec(image_size=10, samples_per_class=8),
+            search=SearchParams(
+                episodes=2,
+                child_epochs=1,
+                pretrain_epochs=0,
+                max_searchable=2,
+                width_multiplier=0.25,
+                policy_batch=1,
+            ),
+        ).to_file(str(tmp_path / "spec.json"))
+        args = ["run", spec_path, "--engine-run-dir", run_dir]
         assert cli_main(args) == 0
         out = capsys.readouterr().out
         assert "search summary" in out
@@ -506,4 +513,5 @@ class TestCli:
         assert "resumed from episode 2" in out
 
     def test_cli_resume_without_checkpoint_fails(self, tmp_path, capsys):
-        assert cli_main(["--resume", "--run-dir", str(tmp_path / "nope")]) == 2
+        args = ["run", "--engine-run-dir", str(tmp_path / "nope"), "--resume"]
+        assert cli_main(args) == 2

@@ -17,10 +17,10 @@ import urllib.request
 
 import pytest
 
+from repro.api.cli import build_parser
 from repro.api.run import execute
 from repro.engine import EngineConfig
 from repro.engine.checkpoint import has_checkpoint
-from repro.engine.cli import SUBCOMMANDS
 from repro.engine.cli import main as cli_main
 from repro.engine.events import (
     FLEET_AGENT_DEAD,
@@ -39,7 +39,6 @@ from repro.fleet import (
     FleetConfig,
     FleetSupervisor,
     RemoteWorkerPool,
-    RetryPolicy,
     UnknownAgent,
     WorkerAgent,
     install_supervisor,
@@ -51,6 +50,7 @@ from repro.service.errors import ServiceDraining, ServiceError
 from repro.service.local import LocalExecutor
 from repro.service.registry import RunRegistry, atomic_write_json
 from repro.service.remote import ServiceExecutor
+from repro.transport import RetryPolicy
 
 from test_service import _comparable, _tiny_spec
 
@@ -680,7 +680,9 @@ class TestAtomicWrites:
 # -- the CLI surface ------------------------------------------------------------------
 class TestAgentCLI:
     def test_agent_is_a_subcommand(self):
-        assert "agent" in SUBCOMMANDS
+        args = build_parser().parse_args(["agent", "--url", "http://127.0.0.1:9"])
+        assert args.command == "agent"
+        assert args.url == "http://127.0.0.1:9"
 
     def test_agent_exits_nonzero_when_no_daemon(self, capsys):
         code = cli_main(

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import shutil
 import socket
 import threading
 import time
@@ -30,6 +31,7 @@ from repro.service import RunClient
 from repro.service.errors import RunNotFound, RunNotReady
 from repro.serving import MicroBatcher, ModelNotFound, ModelServer, QueueFull
 from repro.serving.registry import ZooRegistry, latency_class
+from repro.store import StoreError
 
 
 def _tiny_spec(episodes: int = 2) -> RunSpec:
@@ -125,29 +127,31 @@ class TestPromotion:
         )
         assert os.path.isfile(os.path.join(zoo.root, manifest["weights_blob"]))
 
-    def test_legacy_flat_blob_manifest_still_loads(self, promoted):
+    def test_corrupt_or_missing_weights_name_the_entry(self, promoted, tmp_path):
         zoo, entry = promoted
-        # Rewrite the manifest to the pre-store form: flat blob path, no
-        # weights_object -- and move the archive to the legacy location.
+        # Work on a copy: the promoted fixture is shared by the module.
+        copy = ZooRegistry(str(shutil.copytree(zoo.root, tmp_path / "zoo")))
         key = entry.manifest["weights_object"]
-        legacy_blob = zoo.blob_path(entry.manifest["weights_hash"])
-        os.makedirs(os.path.dirname(legacy_blob), exist_ok=True)
-        data = zoo.store.get(key)
-        with open(legacy_blob, "wb") as handle:
-            handle.write(data)
-        zoo.store.delete(key)
-        manifest_path = os.path.join(entry.path, "MANIFEST.json")
+        blob = os.path.join(copy.root, entry.manifest["weights_blob"])
+        with open(blob, "r+b") as handle:
+            handle.write(b"corrupt!")
+        label = f"{entry.name}@{entry.version}"
+        with pytest.raises(StoreError, match=f"{label} weights_object {key}"):
+            copy.load_model(entry.name)
+        # The store dropped the corrupt object; a second load still names it.
+        with pytest.raises(StoreError, match="missing or corrupt"):
+            copy.load_model(entry.name)
+        # A manifest from before the store migration has no key at all.
+        manifest_path = os.path.join(
+            copy.entry_dir(entry.name, entry.version), "MANIFEST.json"
+        )
         with open(manifest_path, "r", encoding="utf-8") as handle:
             manifest = json.load(handle)
         del manifest["weights_object"]
-        manifest["weights_blob"] = os.path.join(
-            "_blobs", f"{manifest['weights_hash']}.npz"
-        )
         with open(manifest_path, "w", encoding="utf-8") as handle:
             json.dump(manifest, handle)
-        model, _descriptor, loaded = zoo.load_model(entry.name)
-        assert loaded.version == entry.version
-        assert model.num_parameters() > 0
+        with pytest.raises(StoreError, match=f"{label} has no weights_object"):
+            copy.load_model(entry.name)
 
     def test_episode_pin_selects_that_record(self, finished_run, tmp_path):
         from repro.service.registry import RunRegistry
