@@ -97,16 +97,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="continue from the checkpoint in the spec's engine.run_dir",
     )
     add_spec_arguments(run_parser)
-    # Short aliases for the generated --engine-store-* flags: pointing a run
-    # at a shared artifact store is common enough to deserve first-class
-    # spelling (they share the override dests, so either spelling wins).
-    run_parser.add_argument(
-        "--store-root",
-        dest="override_engine.store_root",
-        default=None,
-        metavar="DIR",
-        help="alias for --engine-store-root (local artifact-store directory)",
-    )
+    # Short alias for the generated --engine-store-url flag: pointing a run
+    # at a shared store daemon is common enough to deserve first-class
+    # spelling (both share the override dest, so either spelling wins).
     run_parser.add_argument(
         "--store-url",
         dest="override_engine.store_url",
@@ -153,7 +146,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print(
         f"spec: strategy={spec.strategy}, {spec.search.episodes} episodes, "
         f"backend={engine.backend} (workers={engine.num_workers}), "
-        f"cache={'on' if engine.use_cache or engine.cache_dir else 'off'}"
+        f"cache={'on' if engine.caching else 'off'}"
         + (f", run_dir={engine.run_dir}" if engine.run_dir else "")
     )
     report = run_spec(spec, resume=args.resume)

@@ -11,28 +11,27 @@ configuration, device, dataset contents).  This generalises the paper's
 the timing constraint, the cache rejects children that have already been
 measured.
 
-Three tiers, consulted in order:
+Two tiers, consulted in order:
 
 1. an in-memory LRU,
-2. optional on-disk persistence (one JSON file per entry under
-   ``directory``), so long searches reuse evaluations across restarts --
-   a corrupted or truncated entry file (torn write, disk-full) is skipped
-   with a typed ``cache-entry-corrupt`` event, deleted and recomputed, never
-   a crash,
-3. an optional *shared* tier (:class:`SharedCacheTier`) over a
-   :mod:`repro.store` artifact store, read-through/write-through, so
-   concurrent engines on different hosts never train the same
-   ``(context, child, fidelity)`` twice.  Tier payloads are the canonical
-   JSON of the result, stored content-addressed and looked up through a
-   fingerprint-named ref, so a fetched result is bit-for-bit the one some
-   other engine computed.  A key that missed remotely is negatively cached
-   and not asked for again until this process publishes it.
+2. an optional store tier (:class:`SharedCacheTier`) over a
+   :mod:`repro.store` artifact store, read-through/write-through.  Its local
+   side is the ``cache_dir`` store root, so long searches reuse evaluations
+   across restarts; its remote side is a store daemon, so concurrent engines
+   on different hosts never train the same ``(context, child, fidelity)``
+   twice.  Tier payloads are the canonical JSON of the result, stored
+   content-addressed and looked up through a fingerprint-named ref, so a
+   fetched result is bit-for-bit the one some engine computed.  A ref whose
+   payload is missing, fails its hash check or does not decode is a miss
+   announced as a typed ``cache-entry-corrupt`` event; the store has already
+   deleted a corrupt object, so the recomputed result persists cleanly.  A
+   key that missed is negatively cached and not asked for again until this
+   process publishes it.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import time
 from collections import OrderedDict
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
@@ -42,14 +41,17 @@ from repro.engine.events import CACHE_ENTRY_CORRUPT
 from repro.engine.serde import result_from_dict, result_to_dict
 from repro.obs import metrics as obs_metrics
 from repro.utils.fingerprint import canonical_json
-from repro.utils.serialization import load_json, save_json
+
+# Unused here; the benchmark tracer (perfbench/tracer.py) wraps this module's
+# ``save_json`` binding by name, so it must keep resolving.
+from repro.utils.serialization import save_json  # noqa: F401
 
 # Receives (event kind, JSON payload); the engine wires it to its event bus.
 CacheEventCallback = Callable[[str, Dict[str, Any]], None]
 
 # Everything a malformed cache payload can raise while being decoded and
-# rebuilt into an EvaluationResult.  OSError covers unreadable files.
-_CORRUPT_ENTRY_ERRORS = (ValueError, KeyError, TypeError, OSError)
+# rebuilt into an EvaluationResult.
+_CORRUPT_ENTRY_ERRORS = (ValueError, KeyError, TypeError)
 
 
 class SharedCacheTier:
@@ -75,6 +77,7 @@ class SharedCacheTier:
         # suppression -- each miss costs at most one remote round trip).
         self._negative: Set[str] = set()
         self._tracer = None
+        self._emit_event: Optional[CacheEventCallback] = None
         self.bind_metrics(obs_metrics.get_registry())
 
     def bind_metrics(self, registry: "obs_metrics.MetricsRegistry") -> None:
@@ -99,6 +102,10 @@ class SharedCacheTier:
         """Record fetch/publish round trips as spans on a ``store`` timeline."""
         self._tracer = tracer
 
+    def bind_events(self, callback: Optional[CacheEventCallback]) -> None:
+        """Wire typed warning events (corrupt entries) to the engine's bus."""
+        self._emit_event = callback
+
     @property
     def degraded(self) -> bool:
         return bool(getattr(self.store, "degraded", False))
@@ -120,8 +127,10 @@ class SharedCacheTier:
         if data is not None:
             try:
                 result = result_from_dict(json.loads(data.decode("utf-8")))
-            except _CORRUPT_ENTRY_ERRORS:
-                result = None
+            except _CORRUPT_ENTRY_ERRORS as error:
+                self._corrupt(key, content_key, f"{type(error).__name__}: {error}")
+        elif content_key is not None:
+            self._corrupt(key, content_key, "object missing or failed its hash check")
         if result is None:
             self._negative.add(key)
             self.misses += 1
@@ -145,6 +154,14 @@ class SharedCacheTier:
         self.publishes += 1
         self._m_publishes.inc()
 
+    def _corrupt(self, key: str, content_key: str, error: str) -> None:
+        """Announce a ref whose payload could not be served (then a miss)."""
+        if self._emit_event is not None:
+            self._emit_event(
+                CACHE_ENTRY_CORRUPT,
+                {"key": key, "object": content_key, "error": error},
+            )
+
     def _record_span(self, name: str, wall_start: float, duration: float) -> None:
         tracer = self._tracer
         if tracer is not None:
@@ -154,24 +171,16 @@ class SharedCacheTier:
 class EvaluationCache:
     """LRU cache mapping content fingerprints to evaluation results."""
 
-    def __init__(
-        self,
-        capacity: int = 1024,
-        directory: Optional[str] = None,
-        tier: Optional[SharedCacheTier] = None,
-    ):
+    def __init__(self, capacity: int = 1024, tier: Optional[SharedCacheTier] = None):
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
-        self.directory = directory
         self.tier = tier
         self.hits = 0
         self.misses = 0
+        # Hits served by the store tier (the cache_dir store or a daemon).
         self.remote_hits = 0
         self._entries: "OrderedDict[str, EvaluationResult]" = OrderedDict()
-        self._emit_event: Optional[CacheEventCallback] = None
-        if directory is not None:
-            os.makedirs(directory, exist_ok=True)
         self.bind_metrics(obs_metrics.get_registry())
 
     def bind_metrics(self, registry: "obs_metrics.MetricsRegistry") -> None:
@@ -193,16 +202,13 @@ class EvaluationCache:
         self._m_entries = registry.gauge(
             "repro_cache_entries", "In-memory evaluation-cache entries"
         )
-        self._m_corrupt = registry.counter(
-            "repro_cache_corrupt_entries_total",
-            "On-disk cache entries dropped as unreadable",
-        )
         if self.tier is not None:
             self.tier.bind_metrics(registry)
 
     def bind_events(self, callback: Optional[CacheEventCallback]) -> None:
-        """Wire typed warning events (corrupt entries) to the engine's bus."""
-        self._emit_event = callback
+        """Wire the tier's typed warning events (corrupt entries) to a bus."""
+        if self.tier is not None:
+            self.tier.bind_events(callback)
 
     def bind_tracer(self, tracer: Any) -> None:
         if self.tier is not None:
@@ -210,9 +216,6 @@ class EvaluationCache:
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._entries or self._on_disk(key)
 
     @property
     def hit_rate(self) -> float:
@@ -235,59 +238,21 @@ class EvaluationCache:
             self._entries.move_to_end(key)
             self.hits += 1
             return entry
-        if self.directory is not None and self._on_disk(key):
-            entry = self._load_disk_entry(key)
-            if entry is not None:
-                self._insert(key, entry)
-                self.hits += 1
-                return entry
         if self.tier is not None:
             entry = self.tier.fetch(key)
             if entry is not None:
-                # A shared-tier hit becomes a local entry (memory + disk),
-                # so repeats of this key never leave the process again.
+                # A tier hit becomes a memory entry, so repeats of this key
+                # never leave the process again.
                 self._insert(key, entry)
-                if self.directory is not None:
-                    save_json(self._entry_path(key), result_to_dict(entry))
                 self.hits += 1
                 self.remote_hits += 1
                 return entry
         self.misses += 1
         return None
 
-    def _load_disk_entry(self, key: str) -> Optional[EvaluationResult]:
-        """One on-disk entry, or None after dropping an unreadable file.
-
-        Torn writes happen (a run killed mid-``save_json``, a full disk); a
-        cache must treat them as misses, not crashes.  The broken file is
-        deleted so the recomputed result can persist cleanly, and the drop
-        is announced as a typed ``cache-entry-corrupt`` event.
-        """
-        path = self._entry_path(key)
-        try:
-            return result_from_dict(load_json(path))
-        except _CORRUPT_ENTRY_ERRORS as error:
-            self._m_corrupt.inc()
-            try:
-                os.remove(path)
-            except OSError:
-                pass
-            if self._emit_event is not None:
-                self._emit_event(
-                    CACHE_ENTRY_CORRUPT,
-                    {
-                        "key": key,
-                        "path": path,
-                        "error": f"{type(error).__name__}: {error}",
-                    },
-                )
-            return None
-
     def put(self, key: str, result: EvaluationResult) -> None:
-        """Memoize ``result`` under ``key`` (and persist it when configured)."""
+        """Memoize ``result`` under ``key`` (and write it through to the tier)."""
         self._insert(key, result)
-        if self.directory is not None:
-            save_json(self._entry_path(key), result_to_dict(result))
         if self.tier is not None:
             self.tier.publish(key, result)
 
@@ -297,14 +262,6 @@ class EvaluationCache:
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
         self._m_entries.set(len(self._entries))
-
-    # -- persistence --------------------------------------------------------------
-    def _entry_path(self, key: str) -> str:
-        assert self.directory is not None
-        return os.path.join(self.directory, f"{key}.json")
-
-    def _on_disk(self, key: str) -> bool:
-        return self.directory is not None and os.path.exists(self._entry_path(key))
 
     # -- checkpointing ------------------------------------------------------------
     def snapshot(self) -> List[Tuple[str, Dict[str, Any]]]:

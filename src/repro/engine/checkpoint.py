@@ -1,14 +1,18 @@
 """Checkpoint/resume for engine-driven searches.
 
 A checkpoint captures everything a search needs to continue bit-for-bit from
-a batch boundary:
+a batch boundary, in one ``checkpoint.json`` written by one atomic
+:func:`~repro.utils.serialization.save_json`:
 
 * controller weights and the Adam moment estimates of the policy trainer
-  (``checkpoint.npz``, via :mod:`repro.utils.serialization`),
+  (base64 of a deterministic ``.npz``,
+  :func:`~repro.utils.serialization.arrays_to_bytes`),
 * the reward baseline, both RNG streams (controller sampling and child
   weight initialisation), the full :class:`~repro.core.results.SearchHistory`,
-  the in-memory evaluation-cache entries and the next episode index
-  (``checkpoint.json``).
+  the in-memory evaluation-cache entries and the next episode index.
+
+A run killed mid-write leaves the previous checkpoint whole, so a resume
+never mixes two checkpoints' state.
 
 Checkpoints embed the engine's evaluation-context fingerprint; restoring
 into a search with a different dataset / reward / training configuration is
@@ -17,6 +21,7 @@ refused rather than silently producing a diverged run.
 
 from __future__ import annotations
 
+import base64
 import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
@@ -34,15 +39,14 @@ from repro.engine.serde import (
     rng_state_to_dict,
 )
 from repro.utils.serialization import (
+    arrays_to_bytes,
+    load_arrays_bytes,
     load_json,
-    load_state_dict,
     save_json,
-    save_state_dict,
 )
 
 CHECKPOINT_JSON = "checkpoint.json"
-CHECKPOINT_NPZ = "checkpoint.npz"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass
@@ -59,18 +63,14 @@ class EngineCheckpoint:
     arrays: Dict[str, np.ndarray] = field(default_factory=dict, repr=False)
 
 
-def checkpoint_paths(run_dir: str) -> Tuple[str, str]:
-    """The (json, npz) file pair of a run directory's checkpoint."""
-    return (
-        os.path.join(run_dir, CHECKPOINT_JSON),
-        os.path.join(run_dir, CHECKPOINT_NPZ),
-    )
+def checkpoint_paths(run_dir: str) -> Tuple[str]:
+    """Every file of a run directory's checkpoint: one ``checkpoint.json``."""
+    return (os.path.join(run_dir, CHECKPOINT_JSON),)
 
 
 def has_checkpoint(run_dir: str) -> bool:
-    """True when ``run_dir`` holds a complete checkpoint pair."""
-    json_path, npz_path = checkpoint_paths(run_dir)
-    return os.path.exists(json_path) and os.path.exists(npz_path)
+    """True when ``run_dir`` holds a checkpoint."""
+    return os.path.exists(os.path.join(run_dir, CHECKPOINT_JSON))
 
 
 def save_checkpoint(
@@ -100,8 +100,7 @@ def save_checkpoint(
         arrays[f"adam_m__{index}"] = m
         arrays[f"adam_v__{index}"] = v
 
-    json_path, npz_path = checkpoint_paths(run_dir)
-    save_state_dict(npz_path, arrays)
+    json_path = os.path.join(run_dir, CHECKPOINT_JSON)
     save_json(
         json_path,
         {
@@ -116,6 +115,7 @@ def save_checkpoint(
             },
             "history": history_to_dict(history),
             "cache": cache.snapshot() if cache is not None else [],
+            "arrays": base64.b64encode(arrays_to_bytes(arrays)).decode("ascii"),
         },
     )
     return json_path
@@ -123,15 +123,17 @@ def save_checkpoint(
 
 def load_checkpoint(run_dir: str) -> EngineCheckpoint:
     """Read and parse the checkpoint stored under ``run_dir``."""
-    json_path, npz_path = checkpoint_paths(run_dir)
-    if not os.path.exists(json_path) or not os.path.exists(npz_path):
+    json_path = os.path.join(run_dir, CHECKPOINT_JSON)
+    if not os.path.exists(json_path):
         raise FileNotFoundError(f"no checkpoint found under {run_dir!r}")
     payload = load_json(json_path)
     version = int(payload.get("version", -1))
     if version != CHECKPOINT_VERSION:
         raise ValueError(
-            f"checkpoint version {version} is not supported "
-            f"(expected {CHECKPOINT_VERSION})"
+            f"checkpoint under {run_dir!r} has version {version}, but this "
+            f"engine reads version {CHECKPOINT_VERSION}; a version-1 checkpoint "
+            "(checkpoint.json + checkpoint.npz) cannot be resumed, so start "
+            "the run afresh"
         )
     return EngineCheckpoint(
         next_episode=int(payload["next_episode"]),
@@ -141,7 +143,7 @@ def load_checkpoint(run_dir: str) -> EngineCheckpoint:
         rng_states=payload["rng"],
         history=history_from_dict(payload["history"]),
         cache_entries=[(key, entry) for key, entry in payload["cache"]],
-        arrays=load_state_dict(npz_path),
+        arrays=load_arrays_bytes(base64.b64decode(payload["arrays"])),
     )
 
 

@@ -122,12 +122,11 @@ class EngineConfig:
     use_cache: bool = False
     cache: Optional[EvaluationCache] = None
     cache_capacity: int = 1024
+    # The cache's store tier (repro.store); either implies caching.
+    # ``cache_dir`` is a local store root, shared by every run pointed at it
+    # on this host; ``store_url`` adds a daemon's cross-host tier.  Both set
+    # builds the full local-first/remote-fallback tiering.
     cache_dir: Optional[str] = None
-    # Shared artifact store (repro.store).  Either implies caching: a local
-    # store root is shared by every run pointed at it on this host, a store
-    # URL adds the daemon's cross-host tier.  Both set builds the full
-    # local-first/remote-fallback tiering.
-    store_root: Optional[str] = None
     store_url: Optional[str] = None
     run_dir: Optional[str] = None
     # Write a checkpoint whenever at least this many episodes completed since
@@ -156,6 +155,16 @@ class EngineConfig:
             raise ValueError("checkpoint_every must be non-negative")
         if self.blas_threads_per_worker is not None and self.blas_threads_per_worker <= 0:
             raise ValueError("blas_threads_per_worker must be positive when given")
+
+    @property
+    def caching(self) -> bool:
+        """True when a search under this config memoizes evaluations."""
+        return (
+            self.use_cache
+            or self.cache is not None
+            or self.cache_dir is not None
+            or self.store_url is not None
+        )
 
 
 # -- module-level default (installed by harnesses, e.g. the benchmark suite) -------
@@ -319,33 +328,27 @@ class SearchEngine:
     # -- construction helpers -----------------------------------------------------
     def _build_cache(self) -> Optional[EvaluationCache]:
         config = self.config
+        if not config.caching:
+            return None
         tier = self._build_store_tier()
         if config.cache is not None:
             if tier is not None and config.cache.tier is None:
                 config.cache.tier = tier
             return config.cache
-        if config.use_cache or config.cache_dir is not None or tier is not None:
-            return EvaluationCache(
-                capacity=config.cache_capacity,
-                directory=config.cache_dir,
-                tier=tier,
-            )
-        return None
+        return EvaluationCache(capacity=config.cache_capacity, tier=tier)
 
     def _build_store_tier(self) -> Optional[SharedCacheTier]:
-        """The shared memoization tier, when a store is configured.
+        """The cache's store tier, when ``cache_dir`` or ``store_url`` is set.
 
-        ``store_root`` alone shares results across runs/processes on one
-        host through the filesystem; ``store_url`` adds (or is) the daemon's
+        ``cache_dir`` alone shares results across runs/processes on one host
+        through the filesystem; ``store_url`` adds (or is) the daemon's
         cross-host tier.  Remote faults degrade inside the tiered store --
         the engine only hears about it once, as a ``store-degraded`` event.
         """
         config = self.config
-        if config.store_root is None and config.store_url is None:
+        if config.cache_dir is None and config.store_url is None:
             return None
-        local = (
-            LocalStore(config.store_root) if config.store_root is not None else None
-        )
+        local = LocalStore(config.cache_dir) if config.cache_dir is not None else None
         remote = (
             RemoteStore(config.store_url) if config.store_url is not None else None
         )

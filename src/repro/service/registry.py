@@ -5,9 +5,9 @@ Layout (shared by the local executor, the HTTP daemon and the offline CLI)::
     <runs_root>/
       <run_id>/
         run_spec.json       resolved spec incl. the effective engine section
-        status.json         lifecycle state (atomic writes)
+        status.json         lifecycle state
         telemetry.jsonl     event stream (JsonlTelemetry)
-        checkpoint.json/.npz engine checkpoint (resume / cancel-resume)
+        checkpoint.json     engine checkpoint (resume / cancel-resume)
         report.json         RunReport.to_dict() once the run finished
         cancel.requested    marker file: out-of-process cancellation request
 
@@ -19,15 +19,14 @@ serving a run goes away.
 
 from __future__ import annotations
 
-import json
 import os
-import tempfile
 import time
 import uuid
 from typing import Any, Dict, List, Optional
 
 from repro.api.spec import RunSpec
 from repro.service.errors import RunNotFound
+from repro.utils.serialization import load_json, save_json
 
 RUN_SPEC_JSON = "run_spec.json"
 STATUS_JSON = "status.json"
@@ -42,36 +41,6 @@ FINISHED = "finished"
 FAILED = "failed"
 CANCELLED = "cancelled"
 TERMINAL_STATES = (FINISHED, FAILED, CANCELLED)
-
-
-def atomic_write_json(path: str, payload: Any) -> None:
-    """Durably replace ``path`` with ``payload`` as JSON; never torn, never
-    clobbered by a concurrent writer.
-
-    The temp file comes from ``mkstemp`` *in the destination directory* --
-    unique per writer (two daemons on a shared runs root cannot truncate
-    each other's half-written temp file, unlike a fixed ``<path>.tmp``) and
-    on the same filesystem, so the final ``os.replace`` is atomic.  The
-    ``fsync`` before the rename keeps a power loss from leaving the new name
-    pointing at not-yet-flushed data; without it a crashed daemon could
-    leave exactly the torn JSON this function exists to prevent.
-    """
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(
-        dir=directory, prefix=f".{os.path.basename(path)}.", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.remove(tmp)
-        except FileNotFoundError:
-            pass
-        raise
 
 
 def new_run_id() -> str:
@@ -141,24 +110,23 @@ class RunRegistry:
         run_id = run_id or new_run_id()
         run_dir = self.run_dir(run_id)
         os.makedirs(run_dir, exist_ok=True)
-        # The archived spec is resume-critical state: write it atomically so
+        # The archived spec is resume-critical state; save_json is atomic, so
         # a daemon killed mid-create never leaves a torn run_spec.json a
         # recovering successor would refuse to re-enqueue.
-        atomic_write_json(self.spec_path(run_id), spec.to_dict())
+        save_json(self.spec_path(run_id), spec.to_dict())
         status = initial_status(run_id, spec, run_dir=run_dir)
         self.write_status(status)
         return status
 
     def write_status(self, status: Dict[str, Any]) -> None:
         """Atomically persist a status dict (readers never see a torn write)."""
-        atomic_write_json(self.status_path(status["run_id"]), status)
+        save_json(self.status_path(status["run_id"]), status)
 
     def load_status(self, run_id: str) -> Dict[str, Any]:
         path = self.status_path(run_id)
         if not os.path.exists(path):
             raise RunNotFound(run_id)
-        with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+        return load_json(path)
 
     def update_status(self, run_id: str, **changes: Any) -> Dict[str, Any]:
         status = self.load_status(run_id)
@@ -199,12 +167,11 @@ class RunRegistry:
     # -- report -------------------------------------------------------------------
     def save_report(self, run_id: str, report: Dict[str, Any]) -> str:
         path = self.report_path(run_id)
-        atomic_write_json(path, report)
+        save_json(path, report)
         return path
 
     def load_report(self, run_id: str) -> Optional[Dict[str, Any]]:
         path = self.report_path(run_id)
         if not os.path.exists(path):
             return None
-        with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+        return load_json(path)

@@ -3,10 +3,10 @@
 ``numpy.savez`` embeds the current wall-clock in every zip member header, so
 two otherwise identical saves differ byte-for-byte -- which would break the
 zoo's contract that promoting the same run twice produces *byte-identical*
-entries (the property the content-hash dedupe store relies on).  The writer
-here builds the same ``.npz`` container by hand: one uncompressed ``.npy``
-member per array, names sorted, every zip timestamp pinned to the DOS epoch.
-``numpy.load`` reads the result like any other ``.npz`` archive.
+entries (the property the content-hash dedupe store relies on).  Weight
+archives are therefore encoded by
+:func:`repro.utils.serialization.arrays_to_bytes`, which builds the same
+``.npz`` container with sorted, uncompressed, timestamp-free members.
 
 The capture/restore helpers snapshot a model's *complete* numeric state:
 parameters via ``state_dict`` plus every registered buffer (batch-norm
@@ -16,8 +16,6 @@ running statistics), keyed by qualified name under a ``param/`` or
 
 from __future__ import annotations
 
-import io
-import zipfile
 from typing import Dict
 
 import numpy as np
@@ -27,9 +25,6 @@ from repro.utils.fingerprint import array_fingerprint, combine_fingerprints
 
 PARAM_PREFIX = "param/"
 BUFFER_PREFIX = "buffer/"
-
-# Fixed DOS-epoch timestamp for every zip member: saves carry no wall-clock.
-_ZIP_EPOCH = (1980, 1, 1, 0, 0, 0)
 
 
 # -- model state capture / restore ---------------------------------------------------
@@ -80,32 +75,3 @@ def model_content_hash(arrays: Dict[str, np.ndarray]) -> str:
         for name in sorted(arrays)
     ]
     return combine_fingerprints("model-arrays", *parts)
-
-
-# -- deterministic npz ---------------------------------------------------------------
-def arrays_to_bytes(arrays: Dict[str, np.ndarray]) -> bytes:
-    """``arrays`` as byte-deterministic ``.npz`` archive contents.
-
-    Equal inputs always produce equal bytes: member order is the sorted name
-    order, members are stored uncompressed and every timestamp is the fixed
-    DOS epoch.  This is what makes the archive content-addressable -- the
-    zoo stores it under ``sha256(bytes)`` and equal weights dedupe by key.
-    """
-    out = io.BytesIO()
-    with zipfile.ZipFile(out, "w", zipfile.ZIP_STORED) as archive:
-        for name in sorted(arrays):
-            buffer = io.BytesIO()
-            np.lib.format.write_array(
-                buffer, np.ascontiguousarray(arrays[name]), allow_pickle=False
-            )
-            info = zipfile.ZipInfo(f"{name}.npy", date_time=_ZIP_EPOCH)
-            info.compress_type = zipfile.ZIP_STORED
-            info.external_attr = 0o600 << 16  # fixed mode bits
-            archive.writestr(info, buffer.getvalue())
-    return out.getvalue()
-
-
-def load_arrays_bytes(data: bytes) -> Dict[str, np.ndarray]:
-    """Read :func:`arrays_to_bytes` output without touching the filesystem."""
-    with np.load(io.BytesIO(data), allow_pickle=False) as archive:
-        return {name: archive[name] for name in archive.files}

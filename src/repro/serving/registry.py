@@ -50,9 +50,7 @@ from repro.hardware.latency import estimate_latency_ms
 from repro.nn.module import Module
 from repro.nn.trainer import Trainer, TrainingConfig
 from repro.serving.artifacts import (
-    arrays_to_bytes,
     capture_model_arrays,
-    load_arrays_bytes,
     model_content_hash,
     restore_model_arrays,
 )
@@ -61,7 +59,13 @@ from repro.service import registry as runs_registry
 from repro.service.errors import RunNotReady
 from repro.service.registry import RunRegistry
 from repro.utils.fingerprint import combine_fingerprints
-from repro.utils.serialization import load_json, save_json
+from repro.utils.serialization import (
+    arrays_to_bytes,
+    atomic_write,
+    load_arrays_bytes,
+    load_json,
+    save_json,
+)
 from repro.zoo.descriptors import ArchitectureDescriptor
 
 DEFAULT_ZOO_ROOT = "zoo"
@@ -364,10 +368,10 @@ class ZooRegistry:
                 "search_unfairness": record.unfairness,
             },
         )
-        pointer = os.path.join(self.root, resolved_name, LATEST_POINTER)
-        with open(f"{pointer}.tmp", "w", encoding="utf-8") as handle:
-            handle.write(f"{version}\n")
-        os.replace(f"{pointer}.tmp", pointer)
+        atomic_write(
+            os.path.join(self.root, resolved_name, LATEST_POINTER),
+            f"{version}\n".encode("utf-8"),
+        )
         return ZooEntry(
             name=resolved_name, version=version, path=entry_dir, manifest=manifest
         )

@@ -6,10 +6,10 @@ stored once and a read can always verify what it got.  The package has
 three layers:
 
 * :class:`LocalStore` -- one directory of sharded ``objects/ab/cdef...``
-  files with atomic temp-file + ``os.replace`` writes, hash-verified reads
-  (a corrupt object is deleted, never returned), a small named ``refs/``
-  namespace mapping cache fingerprints to content keys, and ref-count-aware
-  LRU eviction under a configurable byte budget.
+  files with atomic writes, hash-verified reads (a corrupt object is
+  deleted, never returned), a small named ``refs/`` namespace mapping cache
+  fingerprints to content keys, and ref-count-aware LRU eviction under a
+  configurable byte budget.
 * :class:`RemoteStore` -- the same operations spoken over a
   ``repro-search serve`` daemon's ``/store/*`` endpoints through the one
   HTTP path in :mod:`repro.transport` (deterministic jitter-free

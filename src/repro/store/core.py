@@ -15,8 +15,8 @@ bytes -- which buys three properties the rest of the platform leans on:
 * **Reads are verifiable.**  Every ``get`` re-hashes what it read; a torn
   or bit-rotted object is deleted and reported as a miss so the caller
   recomputes or refetches instead of consuming garbage.
-* **Writes are atomic.**  Payloads land in a temp file in the final shard
-  directory and are published with ``os.replace``, so a concurrent reader
+* **Writes are atomic.**  Objects and refs go through
+  :func:`repro.utils.serialization.atomic_write`, so a concurrent reader
   (another engine process on the same host, or the daemon's HTTP threads)
   never observes a partial object.
 
@@ -37,13 +37,13 @@ from __future__ import annotations
 import hashlib
 import os
 import re
-import tempfile
 import threading
 import time
 from collections import OrderedDict
 from typing import Callable, Dict, Iterable, List, Optional
 
 from repro.obs import metrics as obs_metrics
+from repro.utils.serialization import atomic_write
 
 KEY_PATTERN = re.compile(r"^[0-9a-f]{64}$")
 
@@ -214,18 +214,7 @@ class LocalStore:
                 self._count("puts", "put_dup", "dup")
                 self._observe_op("put", start)
                 return key
-            path = self.object_path(key)
-            shard_dir = os.path.dirname(path)
-            os.makedirs(shard_dir, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=shard_dir, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "wb") as handle:
-                    handle.write(data)
-                os.replace(tmp, path)
-            except BaseException:
-                if os.path.exists(tmp):
-                    os.remove(tmp)
-                raise
+            atomic_write(self.object_path(key), data)
             self._index[key] = len(data)
             self._bytes += len(data)
             self._count("puts", "put_new", "new")
@@ -337,17 +326,7 @@ class LocalStore:
     def set_ref(self, name: str, content_key: str) -> None:
         """Map fingerprint ``name`` to ``content_key`` (atomic overwrite)."""
         _check_key(content_key)
-        path = self._ref_path(name)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(content_key + "\n")
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.remove(tmp)
-            raise
+        atomic_write(self._ref_path(name), f"{content_key}\n".encode("utf-8"))
         self._count("refs", "ref_write", "write")
 
     def get_ref(self, name: str) -> Optional[str]:

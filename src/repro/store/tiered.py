@@ -11,10 +11,9 @@ into a typed ``store-degraded`` event), and every later operation is served
 local-only without touching the network again.  An unreachable daemon
 therefore costs one failed round trip per process, never a failed run.
 
-Either side may be absent: a local-only tier is a plain passthrough (how a
-shared ``--store-root`` on one host behaves), a remote-only tier keeps the
-degradation contract without double-writing payloads the evaluation cache
-already persists per run.
+Either side may be absent: a local-only tier is a plain passthrough (how an
+engine's ``cache_dir`` behaves), a remote-only tier (``store_url`` without a
+``cache_dir``) keeps the degradation contract and writes nothing to disk.
 """
 
 from __future__ import annotations

@@ -6,6 +6,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import socket
 
 import pytest
 
@@ -379,6 +380,24 @@ class TestSpecCli:
         assert "backend=serial" in out and "episodes=1" in out
         # --resume on an unset engine section errors cleanly, no traceback.
         assert cli_main(["run", spec_path, "--resume"]) == 2
+
+    def test_run_prints_cache_on_for_a_store_url_alone(self, tmp_path, capsys):
+        """A store URL caches (the engine builds a cache), so the CLI says so."""
+        spec_path = str(tmp_path / "spec.json")
+        _tiny_spec(episodes=1).to_file(spec_path)
+        assert cli_main(["run", spec_path]) == 0
+        assert "cache=off" in capsys.readouterr().out
+        # Nothing listens there: the tier degrades and the run still caches.
+        probe = socket.socket()
+        probe.bind(("127.0.0.1", 0))
+        url = f"http://127.0.0.1:{probe.getsockname()[1]}"
+        probe.close()
+        assert cli_main(["run", spec_path, "--engine-store-url", url]) == 0
+        assert "cache=on" in capsys.readouterr().out
+        # cache_dir is the cache's local store root; the old alias is gone.
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["run", spec_path, "--store-root", str(tmp_path / "store")])
+        assert exit_info.value.code == 2
 
     def test_strategies_subcommand(self, capsys):
         assert cli_main(["strategies"]) == 0

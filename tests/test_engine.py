@@ -4,6 +4,7 @@ deterministic parallel execution and checkpoint/resume."""
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import os
 import time
@@ -26,10 +27,13 @@ from repro.engine import (
     resolve_engine_config,
     set_default_engine_config,
 )
+from repro.engine import checkpoint as checkpoint_module
+from repro.engine.cache import SharedCacheTier
 from repro.engine.cli import main as cli_main
 from repro.engine.serde import descriptor_from_dict, descriptor_to_dict
 from repro.hardware.constraints import DesignSpec, HardwareSpec, SoftwareSpec
 from repro.nn.trainer import TrainingConfig
+from repro.store import LocalStore, TieredStore
 from repro.zoo.descriptors import ArchitectureDescriptor, HeadSpec
 
 
@@ -118,11 +122,15 @@ class TestEvaluationCache:
 
     def test_disk_persistence_roundtrip(self, tmp_path):
         directory = str(tmp_path / "cache")
-        first = EvaluationCache(capacity=4, directory=directory)
-        first.put("deadbeef", _make_result(0.7))
+
+        def disk_cache() -> EvaluationCache:
+            tier = SharedCacheTier(TieredStore(local=LocalStore(directory)))
+            return EvaluationCache(capacity=4, tier=tier)
+
+        key = "de" * 32
+        disk_cache().put(key, _make_result(0.7))
         # A second cache over the same directory serves the entry from disk.
-        second = EvaluationCache(capacity=4, directory=directory)
-        entry = second.get("deadbeef")
+        entry = disk_cache().get(key)
         assert entry is not None
         assert entry.reward == pytest.approx(0.7)
         assert entry.group_accuracy == {"light": 0.9, "dark": 0.6}
@@ -188,6 +196,12 @@ def _search(tiny_splits, tiny_backbone, episodes=4, policy_batch=1, seed=0):
         software=SoftwareSpec(accuracy_constraint=0.0),
     )
     return FaHaNaSearch(tiny_splits.train, tiny_splits.validation, spec, config)
+
+
+def _history_digest(history) -> str:
+    """SHA-256 of every episode's decisions and exact float64 reward."""
+    rows = [[r.decisions, float(r.reward).hex()] for r in history.records]
+    return hashlib.sha256(json.dumps(rows).encode("utf-8")).hexdigest()
 
 
 def _reference_sequential_rewards(search, episodes):
@@ -402,6 +416,67 @@ class TestCheckpointResume:
         assert [r.descriptor for r in resumed.history.records] == [
             r.descriptor for r in uninterrupted.history.records
         ]
+
+    @pytest.mark.parametrize("fault", ["before-encoding", "mid-write"])
+    def test_checkpoint_killed_mid_write_resumes_bit_for_bit(
+        self, tiny_splits, tiny_backbone, tmp_path, monkeypatch, fault
+    ):
+        """A run dying inside a checkpoint write resumes from the previous one.
+
+        The episode-8 checkpoint write fails either before its JSON encoder
+        starts or part-way through the file, as if the process died there.
+        The episode-4 checkpoint must survive whole -- no controller or
+        optimizer state from the failed write may leak into it -- so the
+        resumed search replays episodes 4..8 exactly.
+        """
+        run_dir = str(tmp_path / "run")
+        total = 8
+        straight_search = _search(tiny_splits, tiny_backbone, total)
+        straight = SearchEngine(straight_search, EngineConfig()).run()
+
+        real_save_json = checkpoint_module.save_json
+
+        def dies_in_write(path, payload):
+            if payload.get("next_episode") == total:
+                if fault == "before-encoding":
+                    raise TypeError("killed before the checkpoint JSON")
+                # Sorted last, so the encoder has streamed everything else.
+                payload = dict(payload, zz_unserialisable=object())
+            real_save_json(path, payload)
+
+        monkeypatch.setattr(checkpoint_module, "save_json", dies_in_write)
+        killed = SearchEngine(
+            _search(tiny_splits, tiny_backbone, total),
+            EngineConfig(run_dir=run_dir, checkpoint_every=4),
+        )
+        with pytest.raises(TypeError):
+            killed.run()
+        monkeypatch.setattr(checkpoint_module, "save_json", real_save_json)
+
+        resumed_search = _search(tiny_splits, tiny_backbone, total)
+        resumed_engine = SearchEngine.resume(
+            resumed_search, EngineConfig(run_dir=run_dir, checkpoint_every=4)
+        )
+        assert resumed_engine._next_episode == 4
+        resumed = resumed_engine.run()
+        assert _history_digest(resumed.history) == _history_digest(straight.history)
+        for got, want in zip(
+            resumed_search.controller.parameters(),
+            straight_search.controller.parameters(),
+        ):
+            np.testing.assert_array_equal(got.data, want.data)
+        # One checkpoint file, and the failed write left no temp file behind.
+        assert sorted(os.listdir(run_dir)) == ["checkpoint.json", "telemetry.jsonl"]
+
+    def test_version_1_checkpoint_is_refused(self, tiny_splits, tiny_backbone, tmp_path):
+        run_dir = str(tmp_path / "run")
+        os.makedirs(run_dir)
+        with open(os.path.join(run_dir, "checkpoint.json"), "w", encoding="utf-8") as handle:
+            json.dump({"version": 1, "next_episode": 2}, handle)
+        with pytest.raises(ValueError, match="version-1 checkpoint .* cannot be resumed"):
+            SearchEngine.resume(
+                _search(tiny_splits, tiny_backbone, 2), EngineConfig(run_dir=run_dir)
+            )
 
     def test_restore_rejects_different_context(self, tiny_splits, tiny_backbone, tmp_path):
         run_dir = str(tmp_path / "run")

@@ -48,9 +48,10 @@ from repro.fleet.pool import decode_result, encode_task, run_task
 from repro.service.daemon import RunService
 from repro.service.errors import ServiceDraining, ServiceError
 from repro.service.local import LocalExecutor
-from repro.service.registry import RunRegistry, atomic_write_json
+from repro.service.registry import RunRegistry
 from repro.service.remote import ServiceExecutor
 from repro.transport import RetryPolicy
+from repro.utils.serialization import save_json
 
 from test_service import _comparable, _tiny_spec
 
@@ -649,23 +650,25 @@ class TestDrain:
 
 # -- atomic registry writes -----------------------------------------------------------
 class TestAtomicWrites:
-    def test_atomic_write_json_replaces_whole_files(self, tmp_path):
+    def test_save_json_replaces_whole_files(self, tmp_path):
         path = str(tmp_path / "status.json")
-        atomic_write_json(path, {"state": "queued"})
-        atomic_write_json(path, {"state": "running"})
+        save_json(path, {"state": "queued"})
+        save_json(path, {"state": "running"})
         with open(path, encoding="utf-8") as handle:
             assert json.load(handle) == {"state": "running"}
         assert glob.glob(str(tmp_path / "*.tmp")) == []
+        assert glob.glob(str(tmp_path / ".*.tmp")) == []
 
-    def test_atomic_write_json_cleans_up_on_failure(self, tmp_path):
+    def test_save_json_cleans_up_on_failure(self, tmp_path):
         path = str(tmp_path / "status.json")
-        atomic_write_json(path, {"state": "queued"})
+        save_json(path, {"state": "queued"})
         with pytest.raises(TypeError):
-            atomic_write_json(path, {"bad": {1, 2}})  # sets are not JSON
+            save_json(path, {"bad": {1, 2}})  # sets are not JSON
         # The destination still holds the previous intact payload.
         with open(path, encoding="utf-8") as handle:
             assert json.load(handle) == {"state": "queued"}
         assert glob.glob(str(tmp_path / "*.tmp")) == []
+        assert glob.glob(str(tmp_path / ".*.tmp")) == []
 
     def test_registry_artifacts_have_no_torn_leftovers(self, tmp_path):
         registry = RunRegistry(str(tmp_path / "runs"))
@@ -675,6 +678,7 @@ class TestAtomicWrites:
         run_dir = registry.run_dir(run_id)
         assert json.load(open(os.path.join(run_dir, "run_spec.json")))
         assert glob.glob(os.path.join(run_dir, "*.tmp")) == []
+        assert glob.glob(os.path.join(run_dir, ".*.tmp")) == []
 
 
 # -- the CLI surface ------------------------------------------------------------------

@@ -237,25 +237,35 @@ class TestTieredStoreDegradation:
 
 
 # -- evaluation-cache corruption tolerance -------------------------------------------
+def _disk_cache(directory: str) -> EvaluationCache:
+    """An evaluation cache over a ``cache_dir`` store root (the engine's wiring)."""
+    return EvaluationCache(
+        capacity=8, tier=SharedCacheTier(TieredStore(local=LocalStore(directory)))
+    )
+
+
 class TestCacheCorruptionTolerance:
     def test_corrupt_disk_entry_is_dropped_and_recomputed(self, tmp_path):
         directory = str(tmp_path / "cache")
-        cache = EvaluationCache(capacity=8, directory=directory)
-        cache.put("feedface", _result(0.9))
+        key = "fe" * 32
+        cache = _disk_cache(directory)
+        cache.put(key, _result(0.9))
 
         events = []
-        fresh = EvaluationCache(capacity=8, directory=directory)
+        fresh = _disk_cache(directory)
         fresh.bind_events(lambda kind, payload: events.append((kind, payload)))
-        entry_path = os.path.join(directory, "feedface.json")
+        store = LocalStore(directory)
+        entry_path = store.object_path(store.get_ref(key))
         with open(entry_path, "w", encoding="utf-8") as handle:
             handle.write('{"torn": ')
-        assert fresh.get("feedface") is None  # miss, not a crash
-        assert not os.path.exists(entry_path)  # broken file deleted
-        assert events and events[0][0] == CACHE_ENTRY_CORRUPT
-        assert events[0][1]["key"] == "feedface"
+        assert fresh.get(key) is None  # miss, not a crash
+        assert not os.path.exists(entry_path)  # broken object deleted
+        assert len(events) == 1 and events[0][0] == CACHE_ENTRY_CORRUPT
+        assert events[0][1]["key"] == key
         # The recomputed result persists cleanly.
-        fresh.put("feedface", _result(0.9))
-        assert fresh.get("feedface").reward == 0.9
+        fresh.put(key, _result(0.9))
+        assert fresh.get(key).reward == 0.9
+        assert _disk_cache(directory).get(key).reward == 0.9
 
 
 # -- the shared evaluation-cache tier ------------------------------------------------

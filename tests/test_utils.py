@@ -10,10 +10,10 @@ import pytest
 from repro.utils.pareto import dominates, pareto_frontier, pareto_points_2d
 from repro.utils.rng import derive_seed, new_rng, spawn_rngs
 from repro.utils.serialization import (
+    arrays_to_bytes,
+    load_arrays_bytes,
     load_json,
-    load_state_dict,
     save_json,
-    save_state_dict,
 )
 from repro.utils.tabulate import format_table
 
@@ -125,13 +125,14 @@ class TestTabulate:
 
 
 class TestSerialization:
-    def test_state_dict_roundtrip(self, tmp_path):
+    def test_arrays_bytes_roundtrip(self):
         state = {"w": np.arange(6, dtype=np.float64).reshape(2, 3), "b": np.zeros(3)}
-        path = os.path.join(tmp_path, "model.npz")
-        save_state_dict(path, state)
-        loaded = load_state_dict(path)
+        data = arrays_to_bytes(state)
+        loaded = load_arrays_bytes(data)
         assert set(loaded) == {"w", "b"}
         np.testing.assert_allclose(loaded["w"], state["w"])
+        # Equal arrays encode to equal bytes, whatever the insertion order.
+        assert arrays_to_bytes({"b": np.zeros(3), "w": state["w"].copy()}) == data
 
     def test_json_roundtrip_with_numpy(self, tmp_path):
         payload = {"array": np.array([1.0, 2.0]), "value": np.float64(3.5), "n": np.int64(2)}
